@@ -219,8 +219,9 @@ type Config struct {
 	// hashing its own records with its own signature cache, and a
 	// deterministic cross-shard reconcile pass merges the per-shard
 	// bucket state. The output is byte-identical to the single-engine
-	// run for every shard count; Workers bounds how many shards hash
-	// concurrently. 0 or 1 uses the single engine.
+	// run for every shard count; Workers bounds how many shards hash,
+	// and how many reconcile probe workers run, concurrently. 0 or 1
+	// uses the single engine.
 	Shards int
 	// LegacyMemLayout selects the pre-arena memory layouts: a
 	// slice-per-record signature cache and Go-map bucket tables instead

@@ -84,13 +84,15 @@ func TestAllocBudgetHashHotLoop(t *testing.T) {
 	// state of the scale-out engine (internal/shard). On top of the
 	// serial round it allocates only the returned boundary structures
 	// (bucket lists and representatives), which is a per-round output,
-	// not per-record churn.
+	// not per-record churn. The engine releases the kept bucket tables
+	// when its reconcile ends; so does each op here.
 	res = testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			var st core.HashStats
-			core.ApplyHashExport(bench.Dataset, plan, plan.Funcs[0], nil, recs, nil,
+			_, _, kept := core.ApplyHashExport(bench.Dataset, plan, plan.Funcs[0], nil, recs, nil,
 				core.HashOptions{Workers: 1, MinParallel: 1, Pool: pool}, &st)
+			kept.Release(pool)
 		}
 	})
 	check("sharded hash round (boundary export)", res.AllocsPerOp(), shardedHashAllocBudget)

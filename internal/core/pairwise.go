@@ -32,7 +32,7 @@ type PairwiseOptions struct {
 	// Workers is the worker-pool size; 0 means runtime.GOMAXPROCS(0),
 	// 1 forces the serial path. The partition produced is identical
 	// for every worker count (components of the match graph do not
-	// depend on edge evaluation order, and collectClusters emits a
+	// depend on edge evaluation order, and CollectClusters emits a
 	// canonical ordering).
 	Workers int
 	// NoSkip disables the transitive-closure skip (the ablation of
@@ -150,7 +150,7 @@ func ApplyPairwiseOpt(ds *record.Dataset, rule distance.Rule, recs []int32, opts
 	st.PrefilterRejects, st.EarlyExits = kst.PrefilterRejects, kst.EarlyExits
 	// Merges are trees minus remaining components — order-independent.
 	st.Merges = int64(n - len(forest.Roots()))
-	return collectClusters(forest, recs), st
+	return CollectClusters(forest, recs), st
 }
 
 // pairwiseSerial is the reference implementation: one pass over the

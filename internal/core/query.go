@@ -30,28 +30,58 @@ import (
 // (the lowest-penalty single flip of the table's base functions).
 const DefaultQueryProbes = 2
 
-// BucketCapture retains one ApplyHashOpt invocation's bucket state for
-// later point lookups: the bucket tables themselves (instead of
-// recycling them into the HashPool) plus, per table, each record's
-// predecessor in its bucket — swap returns the previous occupant at
-// insertion time, so keeping it reconstructs every bucket's full chain
-// from the head the table stores. The layout mirrors the invocation
-// that filled it: shards*numTables tables (serial runs have one
-// shard), with bucket keys routed to shard keyShard(key, shards)
-// exactly as the sharded insertion stage routed them.
-type BucketCapture struct {
+// BucketTables holds a hashing call's bucket tables after the call
+// returned, instead of recycling them into the HashPool: per table,
+// each bucket key maps to the record last inserted under it, as an
+// index into the call's recs. The layout mirrors the call that filled
+// it: shards*numTables tables (serial calls have one shard), with
+// bucket keys routed to shard keyShard(key, shards) exactly as the
+// sharded insertion stage routed them. The zero value holds no
+// buckets. Lookup only reads, so concurrent lookups are safe.
+type BucketTables struct {
 	shards    int
 	numTables int
 	tables    []*oaTable         // open-addressing layout (nil on map layout)
 	maps      []map[uint64]int32 // legacy map layout (nil on oa layout)
-	prev      [][]int32          // prev[t][li]: li's bucket predecessor, -1 none
+}
+
+// Lookup returns the record last inserted under key in table t.
+func (b *BucketTables) Lookup(t int, key uint64) (int32, bool) {
+	if b.shards > 1 {
+		t += keyShard(key, b.shards) * b.numTables
+	}
+	if b.tables != nil {
+		return b.tables[t].lookup(key)
+	}
+	if b.maps != nil {
+		li, ok := b.maps[t][key]
+		return li, ok
+	}
+	return 0, false
+}
+
+// Release recycles the open-addressing tables into pool (a nil pool
+// drops them) and empties the handle. Safe on an empty handle.
+func (b *BucketTables) Release(pool *HashPool) {
+	if b.tables != nil && pool != nil {
+		pool.putTables(b.tables)
+	}
+	*b = BucketTables{}
+}
+
+// BucketCapture retains one ApplyHashOpt invocation's bucket state for
+// later point lookups: the bucket tables themselves plus, per table,
+// each record's predecessor in its bucket — swap returns the previous
+// occupant at insertion time, so keeping it reconstructs every
+// bucket's full chain from the head the table stores.
+type BucketCapture struct {
+	BucketTables
+	prev [][]int32 // prev[t][li]: li's bucket predecessor, -1 none
 }
 
 // begin prepares the capture for an invocation over numRecs records.
 func (c *BucketCapture) begin(numTables, numRecs int) {
-	c.shards = 1
-	c.numTables = numTables
-	c.tables, c.maps = nil, nil
+	c.BucketTables = BucketTables{shards: 1, numTables: numTables}
 	if cap(c.prev) < numTables {
 		c.prev = make([][]int32, numTables)
 	}
@@ -66,33 +96,6 @@ func (c *BucketCapture) begin(numTables, numRecs int) {
 			row[i] = -1
 		}
 	}
-}
-
-// chainHead returns the last record inserted under key in table t (the
-// bucket chain's head), routing the key to its owning shard.
-func (c *BucketCapture) chainHead(t int, key uint64) (int32, bool) {
-	shard := 0
-	if c.shards > 1 {
-		shard = keyShard(key, c.shards)
-	}
-	i := shard*c.numTables + t
-	if c.tables != nil {
-		return c.tables[i].lookup(key)
-	}
-	if m := c.maps[i]; m != nil {
-		li, ok := m[key]
-		return li, ok
-	}
-	return 0, false
-}
-
-// release recycles the retained bucket tables back into the pool and
-// clears the capture. Safe on an empty capture.
-func (c *BucketCapture) release(pool *HashPool) {
-	if c.tables != nil && pool != nil {
-		pool.putTables(c.tables)
-	}
-	c.tables, c.maps = nil, nil
 }
 
 // QueryIndex is the retained point-lookup index of one filtering run:
@@ -135,7 +138,7 @@ func (ix *QueryIndex) Release(pool *HashPool) {
 	if ix == nil {
 		return
 	}
-	ix.buckets.release(pool)
+	ix.buckets.Release(pool)
 	ix.built = false
 }
 
@@ -288,7 +291,7 @@ func (ix *QueryIndex) Query(q *record.Record, m int, opts QueryOptions) (*QueryR
 	probesDone := 0
 	probe := func(t int, key uint64) {
 		probesDone++
-		head, ok := ix.buckets.chainHead(t, key)
+		head, ok := ix.buckets.Lookup(t, key)
 		if !ok {
 			return
 		}

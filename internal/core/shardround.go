@@ -35,20 +35,22 @@ type BucketRep struct {
 //
 //   - the returned partition holds indices into recs rather than
 //     dataset record IDs, ordered canonically (largest cluster first,
-//     ties on first index — identical to collectClusters' ordering,
+//     ties on first index — identical to CollectClusters' ordering,
 //     since recs is ascending in every engine call site);
 //   - one BucketRep per non-empty bucket is appended to reps (reuse a
 //     caller-owned buffer to keep rounds allocation-steady), in bucket
-//     creation order, so a coordinator can detect boundary keys —
-//     buckets that other shards also populated — and chain exactly one
-//     edge per extra shard.
+//     creation order;
+//   - the bucket tables are kept, not recycled: the returned handle
+//     answers which record of recs a bucket key last held, so a
+//     coordinator can probe one shard's buckets with another shard's
+//     representatives. Release the handle into opts.Pool once done.
 //
 // The function is deliberately serial: the sharded engine gets its
 // parallelism from running P exports concurrently (one per shard, each
 // with its own dataset view, cache and pool), not from fanning out
 // inside one shard. opts.Workers/Shards/MinParallel are ignored;
 // opts.Capture is not supported.
-func ApplyHashExport(ds *record.Dataset, p *Plan, hf *HashFunc, cache *Cache, recs []int32, reps []BucketRep, opts HashOptions, st *HashStats) ([][]int32, []BucketRep) {
+func ApplyHashExport(ds *record.Dataset, p *Plan, hf *HashFunc, cache *Cache, recs []int32, reps []BucketRep, opts HashOptions, st *HashStats) ([][]int32, []BucketRep, BucketTables) {
 	start := time.Now()
 	pool := opts.Pool
 	if pool == nil {
@@ -69,6 +71,7 @@ func ApplyHashExport(ds *record.Dataset, p *Plan, hf *HashFunc, cache *Cache, re
 
 	scratch := pool.getScratch(ds, p, hf, cache)
 	rowKeys := pool.keyMatrix(numTables)
+	kept := BucketTables{shards: 1, numTables: numTables}
 	if opts.MapTables {
 		// Legacy path: per-table Go maps, as in ApplyHashOpt's serial
 		// map branch (the reference implementation for the memory-layout
@@ -98,6 +101,7 @@ func ApplyHashExport(ds *record.Dataset, p *Plan, hf *HashFunc, cache *Cache, re
 				tables[t][key] = li32
 			}
 		}
+		kept.maps = tables
 	} else {
 		tables := pool.getTables(numTables, len(recs))
 		for li, rec := range recs {
@@ -120,7 +124,7 @@ func ApplyHashExport(ds *record.Dataset, p *Plan, hf *HashFunc, cache *Cache, re
 				}
 			}
 		}
-		pool.putTables(tables)
+		kept.tables = tables
 	}
 	scratch.flushEvals(evals)
 	scratch.flushSigElems(selems)
@@ -132,14 +136,14 @@ func ApplyHashExport(ds *record.Dataset, p *Plan, hf *HashFunc, cache *Cache, re
 		st.Collisions += collisions
 		st.Merges += merges
 	}
-	return out, reps
+	return out, reps, kept
 }
 
-// collectClusterIdx is collectClusters emitting local indices instead
+// collectClusterIdx is CollectClusters emitting local indices instead
 // of dataset record IDs: one ascending slice of indices into the recs
 // argument per tree, largest cluster first, ties on first index. When
 // recs is ascending (every engine call site), mapping the indices
-// through recs yields exactly collectClusters' output.
+// through recs yields exactly CollectClusters' output.
 func collectClusterIdx(forest *ppt.Forest, n int) [][]int32 {
 	roots := forest.Roots()
 	out := make([][]int32, 0, len(roots))

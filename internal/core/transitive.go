@@ -131,7 +131,7 @@ func ApplyHashStats(ds *record.Dataset, p *Plan, hf *HashFunc, cache *Cache, rec
 // then bucket insertion over sharded bucket tables with a
 // deterministic per-shard merge. The partition is identical for every
 // worker and shard count: shard edge lists follow record order,
-// components are edge-order independent, and collectClusters emits a
+// components are edge-order independent, and CollectClusters emits a
 // canonical ordering. Fresh table *contents* per invocation come from
 // an O(1) epoch clear; the table *memory* is recycled through the
 // pool, which is where the hot loop's allocation saving comes from.
@@ -249,7 +249,7 @@ func ApplyHashOpt(ds *record.Dataset, p *Plan, hf *HashFunc, cache *Cache, recs 
 		// inserted into numTables > 0 buckets, so all get trees, as on
 		// the serial path; the merge order (shard-major, then edge
 		// order) differs from serial, but connected components are
-		// edge-order independent and collectClusters canonicalizes.
+		// edge-order independent and CollectClusters canonicalizes.
 		for li := range recs {
 			forest.MakeTree(li)
 		}
@@ -357,7 +357,7 @@ func ApplyHashOpt(ds *record.Dataset, p *Plan, hf *HashFunc, cache *Cache, recs 
 			pool.putTables(tables)
 		}
 	}
-	out := collectClusters(forest, recs)
+	out := CollectClusters(forest, recs)
 	if st != nil {
 		st.Work += time.Since(start) - parWall + time.Duration(atomic.LoadInt64(&parBusyNS))
 		st.Collisions += collisions
@@ -539,12 +539,14 @@ func (s *keyScratch) flushSigElems(dst *int64) {
 	s.selems = 0
 }
 
-// collectClusters converts a forest over local indices back to dataset
-// record IDs, one cluster per tree, deterministically ordered (largest
-// first, ties on first record). All clusters of one invocation share a
-// single flat backing array — one allocation instead of one per
-// cluster — sliced with full expressions so they stay disjoint.
-func collectClusters(forest *ppt.Forest, recs []int32) [][]int32 {
+// CollectClusters converts a forest over indices into recs back to
+// dataset record IDs, one ascending cluster per tree, deterministically
+// ordered (largest first, ties on first record) — the canonical order
+// every engine emits, whatever order its merges ran in. All clusters
+// of one invocation share a single flat backing array — one allocation
+// instead of one per cluster — sliced with full expressions so they
+// stay disjoint.
+func CollectClusters(forest *ppt.Forest, recs []int32) [][]int32 {
 	roots := forest.Roots()
 	out := make([][]int32, 0, len(roots))
 	flat := make([]int32, len(recs))

@@ -334,15 +334,22 @@ func OpenCol(path string) (*ColFile, error) {
 	return cf, nil
 }
 
-// parseCol builds the dataset views over an open mapping.
+// parseCol builds the dataset views over an open mapping. data must be
+// 8-byte aligned (a mapping or OpenCol's heap image is). The footer is
+// untrusted: every count and offset is checked against the file before
+// anything is allocated or indexed, so a hostile file yields an error,
+// never a panic or an oversized allocation.
 func parseCol(path string, data []byte) (*record.Dataset, error) {
+	if len(data) < 2*len(colMagic)+16 {
+		return nil, fmt.Errorf("dsio: %s: too short for a col file", path)
+	}
 	if string(data[:len(colMagic)]) != colMagic || string(data[len(data)-len(colMagic):]) != colMagic {
 		return nil, fmt.Errorf("dsio: %s: not a col file (bad magic)", path)
 	}
 	tr := data[len(data)-len(colMagic)-16:]
 	footOff := int64(binary.LittleEndian.Uint64(tr))
 	footLen := int64(binary.LittleEndian.Uint64(tr[8:]))
-	if footOff < int64(len(colMagic)) || footLen < 2 || footOff+footLen > int64(len(data)) {
+	if footOff < int64(len(colMagic)) || footLen < 2 || footOff > int64(len(data)) || footLen > int64(len(data))-footOff {
 		return nil, fmt.Errorf("dsio: %s: corrupt col trailer", path)
 	}
 	var foot colFooter
@@ -353,6 +360,15 @@ func parseCol(path string, data []byte) (*record.Dataset, error) {
 		return nil, fmt.Errorf("dsio: %s: col format version %d, want 1", path, foot.Version)
 	}
 	nf := len(foot.Kinds)
+	if len(foot.Widths) != nf {
+		return nil, fmt.Errorf("dsio: %s: col footer has %d field widths for %d field kinds", path, len(foot.Widths), nf)
+	}
+	// Every record stores an 8-byte truth word and a 4-byte length per
+	// field before the footer, which bounds the record count — and the
+	// header allocations below — by the file size.
+	if foot.Records < 0 || foot.Records > footOff/int64(8+4*nf) || (foot.Records > 0 && nf == 0) {
+		return nil, fmt.Errorf("dsio: %s: col footer claims %d records of %d fields in %d data bytes", path, foot.Records, nf, footOff)
+	}
 	n := int(foot.Records)
 	ds := &record.Dataset{Name: foot.Name}
 	ds.Records = make([]record.Record, n)
@@ -363,8 +379,13 @@ func parseCol(path string, data []byte) (*record.Dataset, error) {
 	}
 	at := 0
 	for bi, blk := range foot.Blocks {
-		if blk.Off < int64(len(colMagic)) || blk.Off >= footOff || blk.Count <= 0 {
+		// The word views need 8-byte alignment; every section length is
+		// a whole number of words, so an aligned block start suffices.
+		if blk.Off < int64(len(colMagic)) || blk.Off >= footOff || blk.Off%8 != 0 || blk.Count <= 0 {
 			return nil, fmt.Errorf("dsio: %s: corrupt block %d index", path, bi)
+		}
+		if blk.Count > n-at {
+			return nil, fmt.Errorf("dsio: %s: block %d ends past the footer's %d records", path, bi, n)
 		}
 		off := blk.Off
 		for fi := 0; fi < nf; fi++ {
@@ -374,11 +395,14 @@ func parseCol(path string, data []byte) (*record.Dataset, error) {
 			}
 			lens := wordsOf(data[off : off+lensBytes])
 			off += lensBytes
+			// Stop summing once past the room left, so total cannot
+			// overflow.
+			room := (footOff - off) / 8
 			var total int64
-			for r := 0; r < blk.Count; r++ {
+			for r := 0; r < blk.Count && total <= room; r++ {
 				total += int64(uint32(lens[r/2] >> (32 * (r % 2))))
 			}
-			if off+total*8 > footOff {
+			if total > room {
 				return nil, fmt.Errorf("dsio: %s: block %d overruns the data section", path, bi)
 			}
 			words := wordsOf(data[off : off+total*8])
@@ -395,6 +419,9 @@ func parseCol(path string, data []byte) (*record.Dataset, error) {
 				case record.VectorKind:
 					fld = record.Vector(floatsOf(view))
 				case record.BitsKind:
+					if w := foot.Widths[fi]; w < 1 || w > 64*l {
+						return nil, fmt.Errorf("dsio: %s: block %d record %d: bits width %d for %d words", path, bi, r, w, l)
+					}
 					fld = record.Bits{Words: view, Width: foot.Widths[fi]}
 				default:
 					return nil, fmt.Errorf("dsio: %s: unknown field kind %d", path, foot.Kinds[fi])

@@ -2,12 +2,15 @@ package dsio
 
 import (
 	"bytes"
+	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"github.com/topk-er/adalsh/internal/record"
 )
@@ -173,6 +176,92 @@ func TestOpenColRejectsCorrupt(t *testing.T) {
 		if _, err := OpenCol(p); err == nil {
 			t.Errorf("%s: OpenCol accepted a corrupt file", name)
 		}
+	}
+}
+
+// colBytes writes ds as a .col file and returns the file's bytes.
+func colBytes(t testing.TB, dir string, ds *record.Dataset) []byte {
+	t.Helper()
+	path := filepath.Join(dir, "seed.col")
+	if err := WriteCol(path, ds); err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// withFooter returns a copy of a valid .col image with shift zero
+// bytes inserted after the leading magic (block offsets moved along)
+// and its JSON footer rewritten by edit, the trailer updated to match.
+func withFooter(t *testing.T, data []byte, shift int, edit func(*colFooter)) []byte {
+	t.Helper()
+	tr := data[len(data)-len(colMagic)-16:]
+	footOff := binary.LittleEndian.Uint64(tr)
+	footLen := binary.LittleEndian.Uint64(tr[8:])
+	var foot colFooter
+	if err := json.Unmarshal(data[footOff:footOff+footLen], &foot); err != nil {
+		t.Fatal(err)
+	}
+	for i := range foot.Blocks {
+		foot.Blocks[i].Off += int64(shift)
+	}
+	edit(&foot)
+	enc, err := json.Marshal(foot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := append([]byte(nil), data[:len(colMagic)]...)
+	out = append(out, make([]byte, shift)...)
+	out = append(out, data[len(colMagic):footOff]...)
+	out = append(out, enc...)
+	out = binary.LittleEndian.AppendUint64(out, footOff+uint64(shift))
+	out = binary.LittleEndian.AppendUint64(out, uint64(len(enc)))
+	return append(out, colMagic...)
+}
+
+// aligned copies b into an 8-byte-aligned buffer, as the file mapping
+// and OpenCol's heap image both are.
+func aligned(b []byte) []byte {
+	if len(b) == 0 {
+		return nil
+	}
+	buf := make([]uint64, (len(b)+7)/8)
+	out := unsafe.Slice((*byte)(unsafe.Pointer(&buf[0])), len(b))
+	copy(out, b)
+	return out
+}
+
+// TestParseColRejectsHostileFooters feeds parseCol footers that would
+// make it index out of range, allocate without bound, or build field
+// views over misaligned or inconsistent data; each must be an error.
+func TestParseColRejectsHostileFooters(t *testing.T) {
+	valid := colBytes(t, t.TempDir(), colTestDataset(10))
+	keep := func(*colFooter) {}
+	// An aligned shift keeps the image valid: the helper alone breaks
+	// nothing, so each case below fails for its own edit.
+	if _, err := parseCol("valid", aligned(withFooter(t, valid, 8, keep))); err != nil {
+		t.Fatalf("valid file rejected: %v", err)
+	}
+	for _, tc := range []struct {
+		name  string
+		shift int
+		edit  func(*colFooter)
+	}{
+		{"negative records", 0, func(f *colFooter) { f.Records = -1 }},
+		{"records beyond file size", 0, func(f *colFooter) { f.Records = 1 << 40 }},
+		{"block count past records", 0, func(f *colFooter) { f.Records = 5 }},
+		{"widths shorter than kinds", 0, func(f *colFooter) { f.Widths = []int{} }},
+		{"unaligned block offset", 4, keep},
+		{"bits width beyond words", 0, func(f *colFooter) { f.Widths[2] = 64*2 + 1 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, err := parseCol(tc.name, aligned(withFooter(t, valid, tc.shift, tc.edit))); err == nil {
+				t.Error("parseCol accepted the hostile footer")
+			}
+		})
 	}
 }
 

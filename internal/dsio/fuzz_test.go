@@ -39,3 +39,21 @@ func FuzzRead(f *testing.F) {
 		}
 	})
 }
+
+// FuzzParseCol hammers the .col parser with arbitrary images, seeded
+// with a small valid file: it must never panic, and any dataset it
+// accepts must be structurally valid.
+func FuzzParseCol(f *testing.F) {
+	valid := colBytes(f, f.TempDir(), colTestDataset(5))
+	f.Add(valid)
+	f.Add(valid[:len(valid)/2])
+	f.Fuzz(func(t *testing.T, b []byte) {
+		ds, err := parseCol("fuzz", aligned(b))
+		if err != nil {
+			return
+		}
+		if err := ds.Validate(); err != nil {
+			t.Fatalf("accepted dataset is invalid: %v", err)
+		}
+	})
+}

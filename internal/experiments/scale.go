@@ -130,7 +130,7 @@ type ScaleBench struct {
 	HashWallMS      float64 `json:"hash_wall_ms"`
 	HashWorkMS      float64 `json:"hash_work_ms"`
 	HashParallelism float64 `json:"hash_parallelism"`
-	// ReconcileWallMS is the sequential cross-shard reconcile time.
+	// ReconcileWallMS is the cross-shard reconcile's wall time.
 	ReconcileWallMS float64 `json:"reconcile_wall_ms"`
 	PairwiseWallMS  float64 `json:"pairwise_wall_ms"`
 

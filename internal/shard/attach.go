@@ -15,9 +15,9 @@ import (
 // over the growing stream exactly as the built-in cache does.
 //
 // The stream's runtime knobs keep working: SetWorkers bounds the
-// number of concurrently hashing shards, SetMemLayout selects the
-// per-shard cache layout and bucket tables, SetObs feeds the engine's
-// spans and counters. Point queries (Stream.Query) are unavailable
+// number of concurrently hashing shards and reconcile probe workers,
+// SetMemLayout selects the per-shard cache layout and bucket tables,
+// SetObs feeds the engine's spans and counters. Point queries (Stream.Query) are unavailable
 // while an engine is attached — the sharded engine retains no bucket
 // capture — and return core.ErrNoQueryIndex; serving layers surface
 // that as "no index" exactly as for a stream before its first TopK.

@@ -15,18 +15,24 @@
 // the round's records, split by owning shard. Records are owned by
 // shard SplitMix64(record id) % P for the engine's lifetime.
 //
-// Reconciliation works on exported bucket representatives: each shard
-// reports one ambassador record per non-empty bucket; buckets whose
-// (table, key) appears on two or more shards are boundary buckets, and
-// the coordinator chains one edge per extra shard — in fixed shard
-// order, so the pass is deterministic — into the round's global
-// parent-pointer forest. Per-bucket collision counts then satisfy
-// sum_s(members_s - 1) + (shards_present - 1) = members - 1: exactly
-// the single-engine count, which is what makes the engine's counters
-// (and the differential tests' byte-identical-output guarantee)
-// possible. Pairwise verification rounds need no reconciliation at
-// all: they run on global record IDs through the unchanged
-// core.ApplyPairwiseOpt.
+// Reconciliation is a probe exchange over the shards' own bucket
+// tables. Each scan keeps its tables for the round and reports one
+// representative record per non-empty bucket. Every representative of
+// a shard s >= 1 is looked up, read-only, in the kept tables of shards
+// s-1 down to 0: the nearest lower shard holding the same (table, key)
+// supplies one edge into the round's global parent-pointer forest, and
+// the key counts as a boundary key at its second-lowest holder only.
+// Because the lookups only read, the representatives are probed by
+// Workers-bounded goroutines, and the coordinator applies their edges
+// in fixed (shard, chunk) order. Per-bucket collision counts then
+// satisfy sum_s(members_s - 1) + (shards_present - 1) = members - 1:
+// exactly the single-engine count, which is what makes the engine's
+// counters possible. Which edge joins two components does not matter:
+// component counts are order-independent, and core.CollectClusters
+// emits the canonical cluster order, so output is byte-identical to
+// the single engine. Pairwise verification rounds need no
+// reconciliation at all: they run on global record IDs through the
+// unchanged core.ApplyPairwiseOpt.
 package shard
 
 import (
@@ -67,10 +73,11 @@ type Options struct {
 	K              int
 	ReturnClusters int
 
-	// Workers bounds the number of concurrently hashing shards and is
-	// the pairwise stage's worker-pool size (core.Options.Workers
-	// semantics: 0 means GOMAXPROCS, 1 runs shards one after another —
-	// output is identical for every value).
+	// Workers bounds the number of concurrently hashing shards and of
+	// concurrent reconcile probe workers, and is the pairwise stage's
+	// worker-pool size (core.Options.Workers semantics: 0 means
+	// GOMAXPROCS, 1 runs shards and probes one after another — output is
+	// identical for every value).
 	Workers int
 	// PairwiseMinPairs follows core.Options.PairwiseMinPairs.
 	PairwiseMinPairs int64
@@ -138,9 +145,9 @@ type BoundaryStats struct {
 	// Merges counts boundary edges that actually joined two still-
 	// separate components.
 	Merges int64 `json:"merges"`
-	// Wall is the summed sequential reconcile time across rounds
-	// (partitioning the round's records, replaying per-shard
-	// components, exchanging boundary buckets, collecting clusters).
+	// Wall is the summed reconcile wall time across rounds (replaying
+	// per-shard components, probing boundary buckets, applying their
+	// edges, collecting clusters).
 	Wall time.Duration `json:"wall_ns"`
 }
 
@@ -162,9 +169,12 @@ type shardState struct {
 	// position in the round's global record slice.
 	lrecs  []int32
 	posIdx []int32
-	// subs/reps are the current round's output from ApplyHashExport.
-	subs []([]int32)
-	reps []core.BucketRep
+	// subs/reps/tables are the current round's output from
+	// ApplyHashExport; tables is empty when the shard had no records in
+	// the round, and is released into pool when the round ends.
+	subs   []([]int32)
+	reps   []core.BucketRep
+	tables core.BucketTables
 	// busy is the shard's wall time inside the current round;
 	// roundColl/roundMerges its collision and merge deltas.
 	busy                   time.Duration
@@ -196,10 +206,6 @@ type Engine struct {
 	descs      any
 	numHashers int
 
-	// bmaps are the reconcile pass's per-table boundary maps, reused
-	// (cleared) across rounds.
-	bmaps []map[uint64]boundaryEnt
-
 	boundary BoundaryStats
 	// pairwiseMerges counts the most recent run's merges by the
 	// pairwise verification rounds (which run on global record IDs and
@@ -207,14 +213,6 @@ type Engine struct {
 	// and the reconcile merges it accounts for the run's full merges
 	// counter.
 	pairwiseMerges int64
-}
-
-// boundaryEnt tracks one bucket key during the reconcile exchange:
-// the global round position of the last representative chained, and
-// whether the key has already been counted as a boundary key.
-type boundaryEnt struct {
-	pos   int32
-	multi bool
 }
 
 // New creates a sharded engine over ds with opts.Shards partitions.
@@ -520,8 +518,8 @@ func (e *Engine) Filter(plan *core.Plan) (*core.Result, error) {
 // pool), then reconcile into one global partition over the round's
 // records. The returned clusters hold global record IDs in the same
 // canonical order core.ApplyHashOpt produces; work is the round's
-// cumulative busy time (concurrent shard scans summed, sequential
-// partition/reconcile counted once).
+// cumulative busy time (concurrent shard scans and boundary probes
+// summed, sequential partitioning and forest work counted once).
 func (e *Engine) shardedRound(recs []int32, plan *core.Plan, hf *core.HashFunc, sem chan struct{}) ([][]int32, time.Duration) {
 	start := time.Now()
 	numTables := len(hf.Tables)
@@ -561,7 +559,7 @@ func (e *Engine) shardedRound(recs []int32, plan *core.Plan, hf *core.HashFunc, 
 			o := hopts
 			o.Pool = s.pool
 			prevColl, prevMerges := s.hst.Collisions, s.hst.Merges
-			s.subs, s.reps = core.ApplyHashExport(s.lds, plan, hf, s.cache, s.lrecs, s.reps, o, &s.hst)
+			s.subs, s.reps, s.tables = core.ApplyHashExport(s.lds, plan, hf, s.cache, s.lrecs, s.reps, o, &s.hst)
 			s.busy = time.Since(t0)
 			s.roundColl = s.hst.Collisions - prevColl
 			s.roundMerges = s.hst.Merges - prevMerges
@@ -594,13 +592,14 @@ func (e *Engine) shardedRound(recs []int32, plan *core.Plan, hf *core.HashFunc, 
 
 	// Reconcile: rebuild the global forest over the round's records.
 	// Step 1 replays every shard's local components (their merges were
-	// already counted by the shards); step 2 chains boundary buckets
-	// across shards in fixed shard order. With numTables == 0 no
-	// record entered any bucket — mirror the single engine, which
-	// drops every record of such a round.
+	// already counted by the shards); step 2 probes boundary buckets
+	// concurrently and chains their edges in fixed (shard, chunk) order.
+	// With numTables == 0 no record entered any bucket — mirror the
+	// single engine, which drops every record of such a round.
 	r0 := time.Now()
 	var subs [][]int32
 	var boundaryPairs, boundaryKeys, reconcileMerges int64
+	var probeWall, probeBusy time.Duration
 	if numTables > 0 {
 		forest := ppt.NewForest(len(recs))
 		for i := range recs {
@@ -617,39 +616,25 @@ func (e *Engine) shardedRound(recs []int32, plan *core.Plan, hf *core.HashFunc, 
 				}
 			}
 		}
-		if e.p > 1 {
-			for len(e.bmaps) < numTables {
-				e.bmaps = append(e.bmaps, make(map[uint64]boundaryEnt))
-			}
-			for t := 0; t < numTables; t++ {
-				clear(e.bmaps[t])
-			}
-			for _, s := range e.shards {
-				for _, rp := range s.reps {
-					gpos := s.posIdx[rp.Rep]
-					m := e.bmaps[rp.Table]
-					ent, ok := m[rp.Key]
-					if !ok {
-						m[rp.Key] = boundaryEnt{pos: gpos}
-						continue
-					}
-					// A later shard populated a bucket an earlier shard
-					// owns too: chain one edge, exactly the edge the
-					// single engine would have produced when the later
-					// shard's first member hit the occupied bucket.
-					boundaryPairs++
-					if !ent.multi {
-						boundaryKeys++
-					}
-					if ra, rb := forest.Root(int(ent.pos)), forest.Root(int(gpos)); ra != rb {
-						forest.Merge(ra, rb)
-						reconcileMerges++
-					}
-					m[rp.Key] = boundaryEnt{pos: gpos, multi: true}
+		probeStart := time.Now()
+		chunks := e.probeBoundary(sem)
+		probeWall = time.Since(probeStart)
+		for i := range chunks {
+			c := &chunks[i]
+			probeBusy += c.busy
+			boundaryKeys += c.keys
+			boundaryPairs += int64(len(c.edges))
+			for _, ed := range c.edges {
+				if ra, rb := forest.Root(int(ed.a)), forest.Root(int(ed.b)); ra != rb {
+					forest.Merge(ra, rb)
+					reconcileMerges++
 				}
 			}
 		}
-		subs = collectClusters(forest, recs)
+		subs = core.CollectClusters(forest, recs)
+	}
+	for _, s := range e.shards {
+		s.tables.Release(s.pool)
 	}
 	reconWall := time.Since(r0)
 
@@ -667,35 +652,79 @@ func (e *Engine) shardedRound(recs []int32, plan *core.Plan, hf *core.HashFunc, 
 	obs.Count(e.opts.Obs, obs.CtrBoundaryPairs, boundaryPairs)
 	obs.Count(e.opts.Obs, obs.CtrReconcileMerges, reconcileMerges)
 
-	// Work: concurrent shard scans by busy time, everything else once.
-	work := time.Since(start) - parWall + busySum
+	// Work: concurrent shard scans and probes by busy time, everything
+	// else once.
+	work := time.Since(start) - parWall - probeWall + busySum + probeBusy
 	return subs, work
 }
 
-// collectClusters mirrors core's canonical cluster collection: one
-// ascending record-ID slice per tree, largest cluster first, ties on
-// first record.
-func collectClusters(forest *ppt.Forest, recs []int32) [][]int32 {
-	roots := forest.Roots()
-	out := make([][]int32, 0, len(roots))
-	flat := make([]int32, len(recs))
-	used := 0
-	var leaves []int32
-	for _, r := range roots {
-		leaves = forest.Leaves(leaves[:0], r)
-		cluster := flat[used : used+len(leaves) : used+len(leaves)]
-		used += len(leaves)
-		for i, l := range leaves {
-			cluster[i] = recs[l]
+// boundaryEdge joins two round positions: a holds a bucket key in a
+// lower shard, b is a higher shard's representative of the same key.
+type boundaryEdge struct{ a, b int32 }
+
+// probeChunk is one probe worker's share of a round's boundary
+// exchange: a run of one shard's bucket representatives and what
+// probing them found.
+type probeChunk struct {
+	shard int
+	reps  []core.BucketRep
+	edges []boundaryEdge
+	keys  int64
+	busy  time.Duration
+}
+
+// probeBoundary splits every shard s >= 1's bucket representatives into
+// cap(sem) chunks and probes them concurrently, at most cap(sem) in
+// flight, into the kept tables of the lower shards. The chunks come
+// back in (shard, chunk) order.
+func (e *Engine) probeBoundary(sem chan struct{}) []probeChunk {
+	var chunks []probeChunk
+	for si := 1; si < len(e.shards); si++ {
+		reps := e.shards[si].reps
+		size := (len(reps) + cap(sem) - 1) / cap(sem)
+		for lo := 0; lo < len(reps); lo += size {
+			chunks = append(chunks, probeChunk{shard: si, reps: reps[lo:min(lo+size, len(reps))]})
 		}
-		sort.Slice(cluster, func(i, j int) bool { return cluster[i] < cluster[j] })
-		out = append(out, cluster)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if len(out[i]) != len(out[j]) {
-			return len(out[i]) > len(out[j])
+	var wg sync.WaitGroup
+	for i := range chunks {
+		wg.Add(1)
+		sem <- struct{}{}
+		go func(c *probeChunk) {
+			defer wg.Done()
+			t0 := time.Now()
+			c.probe(e.shards)
+			c.busy = time.Since(t0)
+			<-sem
+		}(&chunks[i])
+	}
+	wg.Wait()
+	return chunks
+}
+
+// probe looks up each representative of the chunk in the kept tables
+// of shards c.shard-1 down to 0. The nearest lower holder of the key
+// supplies the one chained edge (any of its bucket members will do:
+// the shard's replayed components already joined them), and the key is
+// a boundary key exactly at its second-lowest holder — the same edges,
+// up to component membership, and the same counts as chaining each
+// holder to the previous one in shard order.
+func (c *probeChunk) probe(shards []*shardState) {
+	self := shards[c.shard]
+	for _, rp := range c.reps {
+		held := 0
+		for h := c.shard - 1; h >= 0 && held < 2; h-- {
+			li, ok := shards[h].tables.Lookup(int(rp.Table), rp.Key)
+			if !ok {
+				continue
+			}
+			if held == 0 {
+				c.edges = append(c.edges, boundaryEdge{a: shards[h].posIdx[li], b: self.posIdx[rp.Rep]})
+			}
+			held++
 		}
-		return out[i][0] < out[j][0]
-	})
-	return out
+		if held == 1 {
+			c.keys++
+		}
+	}
 }
