@@ -223,13 +223,6 @@ type Config struct {
 	// and how many reconcile probe workers run, concurrently. 0 or 1
 	// uses the single engine.
 	Shards int
-	// LegacyMemLayout selects the pre-arena memory layouts: a
-	// slice-per-record signature cache and Go-map bucket tables instead
-	// of the default paged arenas and pooled open-addressing tables.
-	// Results, statistics and observability counters are identical
-	// either way — the flag exists for A/B benchmarking the layouts and
-	// as an escape hatch while the new layout bakes.
-	LegacyMemLayout bool
 	// OnRound, when non-nil, receives a progress snapshot after every
 	// adaptive round — hook for logging or progress display.
 	OnRound func(RoundInfo)
@@ -243,16 +236,11 @@ type Config struct {
 
 // options converts the public config to core options.
 func (c Config) options() core.Options {
-	opts := core.Options{
+	return core.Options{
 		K: c.K, ReturnClusters: c.ReturnClusters,
 		Workers: c.Workers, HashShards: c.HashShards,
 		OnRound: c.OnRound, Obs: c.Obs,
 	}
-	if c.LegacyMemLayout {
-		opts.CacheLayout = core.CacheSlices
-		opts.HashMapTables = true
-	}
-	return opts
 }
 
 // StatsSink receives stage spans and counter deltas from instrumented
@@ -325,8 +313,7 @@ func FilterWithPlan(ds *Dataset, plan *Plan, cfg Config) (*Result, error) {
 		o := cfg.options()
 		sopts := shard.Options{
 			Shards: cfg.Shards, K: o.K, ReturnClusters: o.ReturnClusters,
-			Workers: o.Workers, CacheLayout: o.CacheLayout, MapTables: o.HashMapTables,
-			OnRound: o.OnRound, Obs: o.Obs,
+			Workers: o.Workers, OnRound: o.OnRound, Obs: o.Obs,
 		}
 		return shard.Filter(ds, plan, sopts)
 	}
@@ -423,7 +410,7 @@ func Save(w io.Writer, s *Stream) error { return snapio.Snapshot(w, s) }
 // or corrupted snapshots are rejected (the format carries a checksum),
 // as are snapshots from builds with an incompatible format version.
 // Runtime tuning (SetWorkers, SetObs, ...) is process-local and must
-// be re-applied; the memory layout travels with the snapshot.
+// be re-applied.
 func Restore(r io.Reader) (*Stream, error) { return snapio.Restore(r) }
 
 // SaveFile snapshots a stream to a file crash-safely: the bytes go to

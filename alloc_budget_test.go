@@ -90,8 +90,7 @@ func TestAllocBudgetHashHotLoop(t *testing.T) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			var st core.HashStats
-			_, _, kept := core.ApplyHashExport(bench.Dataset, plan, plan.Funcs[0], nil, recs, nil,
-				core.HashOptions{Workers: 1, MinParallel: 1, Pool: pool}, &st)
+			_, _, kept := core.ApplyHashExport(bench.Dataset, plan, plan.Funcs[0], nil, recs, nil, pool, &st)
 			kept.Release(pool)
 		}
 	})
@@ -102,7 +101,7 @@ func TestAllocBudgetHashHotLoop(t *testing.T) {
 	res = testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			c := core.NewCacheLayout(bench.Dataset, len(plan.Hashers), core.CacheArena)
+			c := core.NewCache(bench.Dataset, len(plan.Hashers))
 			for _, hf := range plan.Funcs {
 				for rec := 0; rec < bench.Dataset.Len(); rec++ {
 					for h, n := range hf.FuncsPerHasher {

@@ -402,7 +402,7 @@ func BenchmarkApplyHashRoundOne(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		core.ApplyHash(bench.Dataset, plan, plan.Funcs[0], nil, recs)
+		core.ApplyHashOpt(bench.Dataset, plan, plan.Funcs[0], nil, recs, core.HashOptions{}, nil)
 	}
 }
 
@@ -465,37 +465,28 @@ func BenchmarkHashParallel(b *testing.B) {
 			recs[i] = int32(i)
 		}
 		for _, w := range workerSet {
-			for _, mem := range []struct {
-				name      string
-				mapTables bool
-			}{{"oa", false}, {"maps", true}} {
-				b.Run(fmt.Sprintf("%s/workers=%d/mem=%s", wl.name, w, mem.name), func(b *testing.B) {
-					// One pool across iterations, like FilterIncremental
-					// keeps one per run: the mem=oa rows measure the
-					// pooled steady state, the mem=maps rows the legacy
-					// per-invocation map tables (the pool still recycles
-					// their key matrix and scratches).
-					pool := core.NewHashPool()
-					b.ReportAllocs()
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						st := &core.HashStats{}
-						core.ApplyHashOpt(wl.ds, plan, plan.Funcs[0], nil, recs,
-							core.HashOptions{Workers: w, Shards: w, MinParallel: 1,
-								MapTables: mem.mapTables, Pool: pool}, st)
-					}
-				})
-			}
+			b.Run(fmt.Sprintf("%s/workers=%d", wl.name, w), func(b *testing.B) {
+				// One pool across iterations, like FilterIncremental
+				// keeps one per run: the rows measure the pooled
+				// steady state.
+				pool := core.NewHashPool()
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					st := &core.HashStats{}
+					core.ApplyHashOpt(wl.ds, plan, plan.Funcs[0], nil, recs,
+						core.HashOptions{Workers: w, Shards: w, MinParallel: 1, Pool: pool}, st)
+				}
+			})
 		}
 	}
 }
 
 // BenchmarkCacheEnsure measures filling the signature cache with every
 // record's per-level prefixes — the Ensure traffic of a whole filter
-// run's re-hash rounds — under both memory layouts. One op is a fresh
-// cache filled level by level; compare allocs/op between the arena and
-// the legacy slice layout (values and counters are identical, pinned
-// by TestCacheLayoutsEquivalent).
+// run's re-hash rounds. One op is a fresh cache filled level by level
+// (values and counters are pinned against a from-scratch model by
+// TestCacheLayoutsEquivalent).
 func BenchmarkCacheEnsure(b *testing.B) {
 	p := provider()
 	bench := p.SpotSigs(1, 0.4)
@@ -503,28 +494,17 @@ func BenchmarkCacheEnsure(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	layouts := []struct {
-		name   string
-		layout core.CacheLayout
-	}{
-		{"arena", core.CacheArena},
-		{"slices", core.CacheSlices},
-	}
-	for _, l := range layouts {
-		b.Run(l.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				c := core.NewCacheLayout(bench.Dataset, len(plan.Hashers), l.layout)
-				for _, hf := range plan.Funcs {
-					for rec := 0; rec < bench.Dataset.Len(); rec++ {
-						for h, n := range hf.FuncsPerHasher {
-							if n > 0 {
-								c.Ensure(plan, h, rec, n)
-							}
-						}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		c := core.NewCache(bench.Dataset, len(plan.Hashers))
+		for _, hf := range plan.Funcs {
+			for rec := 0; rec < bench.Dataset.Len(); rec++ {
+				for h, n := range hf.FuncsPerHasher {
+					if n > 0 {
+						c.Ensure(plan, h, rec, n)
 					}
 				}
 			}
-		})
+		}
 	}
 }

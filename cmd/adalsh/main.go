@@ -61,7 +61,6 @@ func main() {
 	pprofPath := flag.String("pprof", "", "write a CPU profile of the run to this file (inspect with go tool pprof)")
 	tracePath := flag.String("trace", "", "write an execution trace of the run to this file (inspect with go tool trace)")
 	memprofPath := flag.String("memprofile", "", "write an allocation (heap) profile of the run to this file (inspect with go tool pprof -sample_index=alloc_objects)")
-	legacyMem := flag.Bool("legacy-mem", false, "use the legacy memory layouts (slice-backed hash cache, map bucket tables); output is identical — for A/B benchmarking")
 	statsJSON := flag.String("stats-json", "", "stream per-stage spans and work counters as JSON lines to this file (- for stderr)")
 	saveState := flag.String("save-state", "", "snapshot the stream session (records, plan, hash cache) to this file after the run (-method ada; atomic write)")
 	loadState := flag.String("load-state", "", "warm-restart from a -save-state snapshot instead of hashing from scratch (-method ada; -input and -rule become optional; an -input larger than the snapshot appends its tail records)")
@@ -138,8 +137,7 @@ func main() {
 	cfg := adalsh.Config{
 		K: *k, ReturnClusters: *khat,
 		Workers: *workers, HashShards: *hashShards, Shards: *shards,
-		Sequence:        adalsh.SequenceConfig{Seed: *seed},
-		LegacyMemLayout: *legacyMem,
+		Sequence: adalsh.SequenceConfig{Seed: *seed},
 	}
 	var statsSink *adalsh.StatsWriter
 	if *statsJSON != "" {

@@ -24,6 +24,30 @@ import (
 	"github.com/topk-er/adalsh/internal/server"
 )
 
+// Connection deadlines, so one slow or idle client cannot hold a
+// connection (and its goroutine) open forever: the request headers must
+// arrive within readHeaderTimeout, the whole request within
+// readTimeout, and a kept-alive connection is closed after idleTimeout
+// without a new request. There is deliberately no write deadline: a
+// TopK over a large session can legitimately run long. Vars only so
+// tests can shorten them; production code treats them as constants.
+var (
+	readHeaderTimeout = 10 * time.Second
+	readTimeout       = 2 * time.Minute
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer builds the daemon's HTTP server for h.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
 func main() {
 	log.SetFlags(log.LstdFlags | log.Lmicroseconds)
 	log.SetPrefix("adalshd: ")
@@ -59,7 +83,7 @@ func main() {
 		log.Printf("warm boot: restored %d session(s) from %s", len(ids), *loadDir)
 	}
 
-	hs := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	hs := newHTTPServer(*addr, srv.Handler())
 	done := make(chan error, 1)
 	go func() { done <- hs.ListenAndServe() }()
 	log.Printf("listening on %s", *addr)

@@ -5,7 +5,6 @@
 //
 //	paperbench [-fig fig9a] [-quick] [-skip-images] [-seed N] [-workers N] [-md]
 //	           [-stats-json DIR] [-pprof FILE] [-trace FILE] [-memprofile FILE]
-//	           [-legacy-mem]
 //
 // With no -fig, every figure is regenerated in order; -fig none skips
 // the figures entirely (useful with -stats-json). -quick trims the
@@ -44,7 +43,6 @@ func main() {
 	pprofPath := flag.String("pprof", "", "write a CPU profile of the run to this file (inspect with go tool pprof)")
 	tracePath := flag.String("trace", "", "write an execution trace of the run to this file (inspect with go tool trace)")
 	memprofPath := flag.String("memprofile", "", "write an allocation (heap) profile of the run to this file (inspect with go tool pprof -sample_index=alloc_objects)")
-	legacyMem := flag.Bool("legacy-mem", false, "use the legacy memory layouts (slice-backed hash cache, map bucket tables); results are identical — for A/B benchmarking the BENCH memory fields")
 	scale := flag.Bool("scale", false, "run the sharded scale-out benchmark: stream a Zipfian workload into an out-of-core .col file and filter it with the sharded engine, writing BENCH_scale.json (into -stats-json DIR, or the working directory)")
 	scaleRecords := flag.Int("scale-records", 10_000_000, "workload size of the -scale run")
 	scaleShards := flag.Int("scale-shards", 4, "shard count of the -scale run")
@@ -67,7 +65,6 @@ func main() {
 	p := experiments.NewProvider(*seed)
 	p.Workers = *workers
 	p.HashShards = *hashShards
-	p.LegacyMem = *legacyMem
 	start := time.Now()
 	var tables []*experiments.Table
 	switch *fig {

@@ -44,18 +44,6 @@ type Options struct {
 	// serial run while the hash stage still fans out.
 	PairwiseMinPairs int64
 
-	// Memory-layout knobs. The defaults (arena cache, pooled
-	// open-addressing bucket tables) are the fast path; the legacy
-	// layouts exist for the equivalence tests and A/B benchmarks —
-	// output and every counter are identical either way.
-
-	// CacheLayout selects the signature cache's memory layout when the
-	// run creates its own cache (ignored when Options.Cache is
-	// supplied). The zero value is CacheArena.
-	CacheLayout CacheLayout
-	// HashMapTables selects the legacy Go-map bucket tables in the
-	// hash stage (HashOptions.MapTables semantics).
-	HashMapTables bool
 	// HashPool, when non-nil, supplies a long-lived scratch pool so
 	// bucket tables and key buffers survive across Filter calls (the
 	// Stream type uses this). A nil pool is created per run — the hash
@@ -268,7 +256,7 @@ func FilterIncremental(ds *record.Dataset, plan *Plan, opts Options, emit func(C
 	if !opts.DisableHashCache {
 		cache = opts.Cache
 		if cache == nil {
-			cache = NewCacheLayout(ds, len(plan.Hashers), opts.CacheLayout)
+			cache = NewCache(ds, len(plan.Hashers))
 		}
 	}
 	pool := opts.HashPool
@@ -287,7 +275,7 @@ func FilterIncremental(ds *record.Dataset, plan *Plan, opts Options, emit func(C
 	popts := PairwiseOptions{Workers: workers, NoSkip: opts.DisableTransitiveSkip, MinPairs: opts.PairwiseMinPairs}
 	hopts := HashOptions{
 		Workers: workers, Shards: opts.HashShards, MinParallel: opts.HashMinParallel,
-		MapTables: opts.HashMapTables, Pool: pool,
+		Pool: pool,
 	}
 	var hashStats HashStats
 	hashStats.Evals = make([]int64, len(plan.Hashers))

@@ -33,8 +33,7 @@ type sigRef struct {
 // snapshot behind an atomic pointer, so concurrent view calls (the
 // parallel key-precompute workers' Ensure hits) never race with page
 // allocation. Writing hash values into an allocated region is the
-// owning goroutine's business, exactly like the per-record slices the
-// arena replaces.
+// owning goroutine's business.
 type sigArena struct {
 	mu sync.Mutex
 	// pages is the copy-on-append snapshot of the page table. Page

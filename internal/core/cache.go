@@ -7,24 +7,6 @@ import (
 	"github.com/topk-er/adalsh/internal/record"
 )
 
-// CacheLayout selects the memory layout of a signature cache.
-type CacheLayout uint8
-
-const (
-	// CacheArena stores all prefixes of one hasher in paged []uint64
-	// arenas with a compact (page, offset, len, cap) reference per
-	// record: no per-record slice headers, no per-round reallocations
-	// once a region has spare capacity, and near-zero GC scan cost
-	// (the arenas are pointer-free). The default.
-	CacheArena CacheLayout = iota
-	// CacheSlices is the original pointer-per-record layout — one
-	// []uint64 per (hasher, record). Kept as the reference
-	// implementation for the memory-layout equivalence tests and for
-	// A/B benchmarking; behaviour (values, eval counts, hit/miss
-	// accounting) is identical to CacheArena.
-	CacheSlices
-)
-
 // Cache stores the base hash values computed for each record so far,
 // per hasher. It realizes the incremental-computation property: when a
 // later transitive hashing function processes a record, only the
@@ -34,6 +16,11 @@ const (
 // Memory grows with actual work: records that Adaptive LSH filters out
 // early keep only their short round-one prefixes.
 //
+// All prefixes of one hasher live in paged []uint64 arenas with a
+// compact (page, offset, len, cap) reference per record: no per-record
+// slice headers, no per-round reallocations once a region has spare
+// capacity, and near-zero GC scan cost (the arenas are pointer-free).
+//
 // Concurrency contract: Ensure may be called concurrently for DISTINCT
 // records (the parallel key-precompute workers partition records, and
 // the shared eval counters are atomic); concurrent Ensure calls on the
@@ -41,14 +28,10 @@ const (
 // be shared by concurrently running filter invocations; Grow is not
 // safe to call concurrently with anything.
 type Cache struct {
-	ds     *record.Dataset
-	layout CacheLayout
-	// Arena layout: refs[h][rec] locates rec's prefix in arenas[h].
+	ds *record.Dataset
+	// refs[h][rec] locates rec's prefix in arenas[h].
 	arenas []*sigArena
 	refs   [][]sigRef
-	// Slice layout (legacy): vals[h][rec] is the computed prefix of
-	// hasher h's function sequence on record rec.
-	vals [][][]uint64
 	// evals[h] counts base hash evaluations per hasher (for cost
 	// accounting and the experiments' work metrics).
 	evals []int64
@@ -63,44 +46,26 @@ type Cache struct {
 	elems int64
 }
 
-// NewCache creates an empty arena-backed cache for the dataset over n
-// hashers.
+// NewCache creates an empty cache for the dataset over n hashers.
 func NewCache(ds *record.Dataset, numHashers int) *Cache {
-	return NewCacheLayout(ds, numHashers, CacheArena)
-}
-
-// NewCacheLayout creates an empty cache with an explicit memory layout
-// (NewCache defaults to CacheArena).
-func NewCacheLayout(ds *record.Dataset, numHashers int, layout CacheLayout) *Cache {
-	c := &Cache{ds: ds, layout: layout, evals: make([]int64, numHashers)}
-	switch layout {
-	case CacheSlices:
-		c.vals = make([][][]uint64, numHashers)
-		for h := range c.vals {
-			c.vals[h] = make([][]uint64, ds.Len())
-		}
-	default:
-		c.arenas = make([]*sigArena, numHashers)
-		c.refs = make([][]sigRef, numHashers)
-		for h := range c.arenas {
-			c.arenas[h] = newSigArena()
-			c.refs[h] = make([]sigRef, ds.Len())
-		}
+	c := &Cache{
+		ds:     ds,
+		arenas: make([]*sigArena, numHashers),
+		refs:   make([][]sigRef, numHashers),
+		evals:  make([]int64, numHashers),
+	}
+	for h := range c.arenas {
+		c.arenas[h] = newSigArena()
+		c.refs[h] = make([]sigRef, ds.Len())
 	}
 	return c
 }
-
-// Layout reports the cache's memory layout.
-func (c *Cache) Layout() CacheLayout { return c.layout }
 
 // Ensure returns the first n base hash values of hasher h (from plan
 // hashers) on record rec, computing and memoizing any missing suffix.
 // The returned slice aliases the cache's storage and stays valid for
 // the cache's lifetime; callers must not append to or resize it.
 func (c *Cache) Ensure(p *Plan, h, rec, n int) []uint64 {
-	if c.layout == CacheSlices {
-		return c.ensureSlices(p, h, rec, n)
-	}
 	ref := &c.refs[h][rec]
 	a := c.arenas[h]
 	if int(ref.n) >= n {
@@ -138,38 +103,6 @@ func (c *Cache) Ensure(p *Plan, h, rec, n int) []uint64 {
 	return buf
 }
 
-// ensureSlices is Ensure for the legacy slice layout.
-func (c *Cache) ensureSlices(p *Plan, h, rec, n int) []uint64 {
-	cur := c.vals[h][rec]
-	if len(cur) >= n {
-		atomic.AddInt64(&c.hits, 1)
-		return cur[:n]
-	}
-	atomic.AddInt64(&c.misses, 1)
-	if cap(cur) < n {
-		// Grow geometrically, not to exactly n: surviving records see
-		// one prefix extension per re-hash round, and exact-fit growth
-		// reallocated and copied the same prefix every round.
-		newCap := 2 * cap(cur)
-		if newCap < n {
-			newCap = n
-		}
-		grown := make([]uint64, len(cur), newCap)
-		copy(grown, cur)
-		cur = grown
-	}
-	r := &c.ds.Records[rec]
-	atomic.AddInt64(&c.evals[h], int64(n-len(cur)))
-	have := len(cur)
-	cur = cur[:n]
-	if e := lshfamily.SigElems(p.Hashers[h], have, n, r); e > 0 {
-		atomic.AddInt64(&c.elems, e)
-	}
-	lshfamily.HashRange(p.Hashers[h], have, n, r, cur[have:])
-	c.vals[h][rec] = cur
-	return cur
-}
-
 // HashEvals reports the number of base hash evaluations per hasher.
 func (c *Cache) HashEvals() []int64 {
 	out := make([]int64, len(c.evals))
@@ -204,28 +137,15 @@ func (c *Cache) SigElemsHashed() int64 {
 
 // Prefix reports how many functions of hasher h are cached for rec.
 func (c *Cache) Prefix(h, rec int) int {
-	if c.layout == CacheSlices {
-		return len(c.vals[h][rec])
-	}
 	return int(c.refs[h][rec].n)
 }
 
 // MemBytes reports the cache's approximate resident size: signature
-// storage (arena pages, or the legacy per-record slices) plus the
-// per-record bookkeeping. The figure is an estimate for capacity
-// planning and the per-shard BENCH reports, not an exact heap
-// accounting.
+// storage (arena pages) plus the per-record bookkeeping. The figure is
+// an estimate for capacity planning and the per-shard BENCH reports,
+// not an exact heap accounting.
 func (c *Cache) MemBytes() int64 {
 	var total int64
-	if c.layout == CacheSlices {
-		for h := range c.vals {
-			total += int64(len(c.vals[h])) * 24 // slice headers
-			for _, v := range c.vals[h] {
-				total += int64(cap(v)) * 8
-			}
-		}
-		return total
-	}
 	for h := range c.arenas {
 		for _, p := range *c.arenas[h].pages.Load() {
 			total += int64(len(p)) * 8
@@ -239,14 +159,6 @@ func (c *Cache) MemBytes() int64 {
 // enough). The Stream type calls this as its dataset grows; existing
 // cached prefixes are preserved.
 func (c *Cache) Grow(n int) {
-	if c.layout == CacheSlices {
-		for h := range c.vals {
-			if d := n - len(c.vals[h]); d > 0 {
-				c.vals[h] = append(c.vals[h], make([][]uint64, d)...)
-			}
-		}
-		return
-	}
 	for h := range c.refs {
 		if d := n - len(c.refs[h]); d > 0 {
 			c.refs[h] = append(c.refs[h], make([]sigRef, d)...)

@@ -7,16 +7,16 @@ import (
 
 // oaTable is a power-of-two, linear-probing open-addressing hash table
 // from uint64 bucket keys to the int32 record last inserted under that
-// key — the flat replacement for the per-invocation map[uint64]int32
-// bucket tables of the hash stage. Slots are (key, value, stamp)
+// key — the hash stage's bucket table. Slots are (key, value, stamp)
 // triples in three parallel pointer-free arrays; a slot is live only
 // when its stamp equals the table's current epoch, so clear is an O(1)
 // epoch bump and a recycled table costs no re-zeroing.
 //
-// The key→last-record semantics are exactly the map path's, so bucket
-// collisions, merge edges and the resulting partition are byte-
-// identical for either implementation (the differential fuzz test in
-// oatable_test.go pins this against a map reference).
+// The key→last-record semantics are exactly a Go map's (swap returns
+// the previous occupant, last insert wins): the differential fuzz test
+// in oatable_test.go pins the table against a map model operation by
+// operation, and the map-based transitive-hash oracle in
+// internal/experiments pins whole hashing calls.
 type oaTable struct {
 	keys  []uint64
 	vals  []int32

@@ -44,7 +44,7 @@ func simulate(t *testing.T, ds *record.Dataset, plan *core.Plan, k int,
 	}
 	cost := 0.0
 	var clusters []*simCluster
-	for _, recs := range core.ApplyHash(ds, plan, plan.Funcs[0], cache, all) {
+	for _, recs := range core.ApplyHashOpt(ds, plan, plan.Funcs[0], cache, all, core.HashOptions{}, nil) {
 		clusters = append(clusters, &simCluster{recs: recs, level: 1, final: plan.L() == 1})
 	}
 	cost += costH(1) * float64(ds.Len())
@@ -91,7 +91,7 @@ func simulate(t *testing.T, ds *record.Dataset, plan *core.Plan, k int,
 			}
 		} else {
 			next := plan.Funcs[c.level]
-			subs = core.ApplyHash(ds, plan, next, cache, c.recs)
+			subs = core.ApplyHashOpt(ds, plan, next, cache, c.recs, core.HashOptions{}, nil)
 			cost += (costH(c.level+1) - costH(c.level)) * float64(len(c.recs))
 			for _, recs := range subs {
 				clusters = append(clusters, &simCluster{recs: recs, level: c.level + 1, final: c.level+1 == plan.L()})

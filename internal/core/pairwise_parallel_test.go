@@ -138,7 +138,7 @@ func TestFilterParallelMatchesSerial(t *testing.T) {
 }
 
 // TestApplyHashCrossThresholdDeterminism drives the same input through
-// the serial and parallel key-precompute paths of ApplyHashStats by
+// the serial and parallel key-precompute paths of ApplyHashOpt by
 // moving the threshold across the input size, with and without a hash
 // cache, and demands identical partitions (run under -race in CI).
 func TestApplyHashCrossThresholdDeterminism(t *testing.T) {
@@ -163,7 +163,7 @@ func TestApplyHashCrossThresholdDeterminism(t *testing.T) {
 				cache = core.NewCache(ds, len(plan.Hashers))
 			}
 			st := &core.HashStats{}
-			return core.ApplyHashStats(ds, plan, hf, cache, recs, workers, st), st
+			return core.ApplyHashOpt(ds, plan, hf, cache, recs, core.HashOptions{Workers: workers}, st), st
 		}
 		serial, _ := run(len(recs)+1, 4) // threshold above input: serial precompute
 		atEdge, _ := run(len(recs), 4)   // threshold at input size: parallel

@@ -30,7 +30,7 @@ func TestApplyHashParallelMatchesBrute(t *testing.T) {
 	}
 	hf := plan.Funcs[0]
 	cache := core.NewCache(ds, len(plan.Hashers))
-	got := canonical(core.ApplyHash(ds, plan, hf, cache, recs))
+	got := canonical(core.ApplyHashOpt(ds, plan, hf, cache, recs, core.HashOptions{}, nil))
 	want := canonical(bruteComponents(ds, plan, hf, recs))
 	classMap := make(map[int32]int32)
 	gotClasses := make(map[int32]bool)
@@ -48,7 +48,7 @@ func TestApplyHashParallelMatchesBrute(t *testing.T) {
 		t.Fatalf("parallel partition has %d classes, brute force %d", len(gotClasses), len(wantClasses))
 	}
 	// The streaming (nil cache) parallel path must agree as well.
-	streamed := canonical(core.ApplyHash(ds, plan, hf, nil, recs))
+	streamed := canonical(core.ApplyHashOpt(ds, plan, hf, nil, recs, core.HashOptions{}, nil))
 	for r, g := range got {
 		if streamed[r] != g {
 			t.Fatalf("streaming parallel partition differs at record %d", r)

@@ -41,27 +41,22 @@ const DefaultQueryProbes = 2
 type BucketTables struct {
 	shards    int
 	numTables int
-	tables    []*oaTable         // open-addressing layout (nil on map layout)
-	maps      []map[uint64]int32 // legacy map layout (nil on oa layout)
+	tables    []*oaTable
 }
 
 // Lookup returns the record last inserted under key in table t.
 func (b *BucketTables) Lookup(t int, key uint64) (int32, bool) {
+	if b.tables == nil {
+		return 0, false
+	}
 	if b.shards > 1 {
 		t += keyShard(key, b.shards) * b.numTables
 	}
-	if b.tables != nil {
-		return b.tables[t].lookup(key)
-	}
-	if b.maps != nil {
-		li, ok := b.maps[t][key]
-		return li, ok
-	}
-	return 0, false
+	return b.tables[t].lookup(key)
 }
 
-// Release recycles the open-addressing tables into pool (a nil pool
-// drops them) and empties the handle. Safe on an empty handle.
+// Release recycles the tables into pool (a nil pool drops them) and
+// empties the handle. Safe on an empty handle.
 func (b *BucketTables) Release(pool *HashPool) {
 	if b.tables != nil && pool != nil {
 		pool.putTables(b.tables)

@@ -63,9 +63,8 @@ func TestQueryFindsOwnCluster(t *testing.T) {
 }
 
 // TestQueryDifferentialAcrossPaths pins the capture's correctness on
-// every insertion path: serial/parallel x oa/map bucket tables must
-// yield identical query results for every record, and the parallel
-// runs at workers {1, 4} must agree.
+// both insertion paths: the serial and the sharded parallel bucket
+// insertion must yield identical query results for every record.
 func TestQueryDifferentialAcrossPaths(t *testing.T) {
 	defer core.SetParallelHashThreshold(1)()
 	ds := clusteredSetDataset(t, []int{30, 20, 10, 5, 3, 2}, 19)
@@ -77,10 +76,8 @@ func TestQueryDifferentialAcrossPaths(t *testing.T) {
 		name string
 		opts core.Options
 	}{
-		{"serial-oa", core.Options{K: 3, Workers: 1}},
-		{"serial-map", core.Options{K: 3, Workers: 1, HashMapTables: true}},
-		{"parallel-oa", core.Options{K: 3, Workers: 4, HashShards: 3, PairwiseMinPairs: 1 << 62}},
-		{"parallel-map", core.Options{K: 3, Workers: 4, HashShards: 3, HashMapTables: true, PairwiseMinPairs: 1 << 62}},
+		{"serial", core.Options{K: 3, Workers: 1}},
+		{"parallel", core.Options{K: 3, Workers: 4, HashShards: 3, PairwiseMinPairs: 1 << 62}},
 	}
 	type answer struct {
 		cands   []int32
@@ -108,13 +105,13 @@ func TestQueryDifferentialAcrossPaths(t *testing.T) {
 		}
 		for rec := range answers {
 			if !equalInt32(answers[rec].cands, baseline[rec].cands) {
-				t.Fatalf("%s: record %d candidates %v, serial-oa %v", v.name, rec, answers[rec].cands, baseline[rec].cands)
+				t.Fatalf("%s: record %d candidates %v, serial %v", v.name, rec, answers[rec].cands, baseline[rec].cands)
 			}
 			if !equalInt32(answers[rec].matched, baseline[rec].matched) {
-				t.Fatalf("%s: record %d matched %v, serial-oa %v", v.name, rec, answers[rec].matched, baseline[rec].matched)
+				t.Fatalf("%s: record %d matched %v, serial %v", v.name, rec, answers[rec].matched, baseline[rec].matched)
 			}
 			if answers[rec].top != baseline[rec].top {
-				t.Fatalf("%s: record %d top cluster %d, serial-oa %d", v.name, rec, answers[rec].top, baseline[rec].top)
+				t.Fatalf("%s: record %d top cluster %d, serial %d", v.name, rec, answers[rec].top, baseline[rec].top)
 			}
 		}
 	}

@@ -27,11 +27,10 @@ type BucketRep struct {
 }
 
 // ApplyHashExport applies transitive hashing function hf to the
-// records in recs exactly like the serial paths of ApplyHashOpt — same
-// record-major insertion order, same bucket tables (pooled
-// open-addressing, or legacy Go maps when opts.MapTables is set), same
-// collision and merge counting — but shapes its output for a sharded
-// engine (internal/shard):
+// records in recs exactly like the serial path of ApplyHashOpt — same
+// record-major insertion order, same pooled open-addressing bucket
+// tables, same collision and merge counting — but shapes its output
+// for a sharded engine (internal/shard):
 //
 //   - the returned partition holds indices into recs rather than
 //     dataset record IDs, ordered canonically (largest cluster first,
@@ -43,16 +42,14 @@ type BucketRep struct {
 //   - the bucket tables are kept, not recycled: the returned handle
 //     answers which record of recs a bucket key last held, so a
 //     coordinator can probe one shard's buckets with another shard's
-//     representatives. Release the handle into opts.Pool once done.
+//     representatives. Release the handle into pool once done.
 //
 // The function is deliberately serial: the sharded engine gets its
 // parallelism from running P exports concurrently (one per shard, each
 // with its own dataset view, cache and pool), not from fanning out
-// inside one shard. opts.Workers/Shards/MinParallel are ignored;
-// opts.Capture is not supported.
-func ApplyHashExport(ds *record.Dataset, p *Plan, hf *HashFunc, cache *Cache, recs []int32, reps []BucketRep, opts HashOptions, st *HashStats) ([][]int32, []BucketRep, BucketTables) {
+// inside one shard. A nil pool builds a transient one for this call.
+func ApplyHashExport(ds *record.Dataset, p *Plan, hf *HashFunc, cache *Cache, recs []int32, reps []BucketRep, pool *HashPool, st *HashStats) ([][]int32, []BucketRep, BucketTables) {
 	start := time.Now()
-	pool := opts.Pool
 	if pool == nil {
 		pool = NewHashPool()
 	}
@@ -71,60 +68,26 @@ func ApplyHashExport(ds *record.Dataset, p *Plan, hf *HashFunc, cache *Cache, re
 
 	scratch := pool.getScratch(ds, p, hf, cache)
 	rowKeys := pool.keyMatrix(numTables)
-	kept := BucketTables{shards: 1, numTables: numTables}
-	if opts.MapTables {
-		// Legacy path: per-table Go maps, as in ApplyHashOpt's serial
-		// map branch (the reference implementation for the memory-layout
-		// equivalence tests).
-		tables := make([]map[uint64]int32, numTables)
-		for t := range tables {
-			tables[t] = make(map[uint64]int32)
-		}
-		for li, rec := range recs {
-			scratch.keysFor(rec, rowKeys)
-			for t, key := range rowKeys {
-				li32 := int32(li)
-				last, occupied := tables[t][key]
-				if !forest.InTree(li) {
-					forest.MakeTree(li)
+	tables := pool.getTables(numTables, len(recs))
+	for li, rec := range recs {
+		scratch.keysFor(rec, rowKeys)
+		for t, key := range rowKeys {
+			li32 := int32(li)
+			last, occupied := tables[t].swap(key, li32)
+			if !forest.InTree(li) {
+				forest.MakeTree(li)
+			}
+			if occupied {
+				collisions++
+				ra, rb := forest.Root(int(last)), forest.Root(li)
+				if ra != rb {
+					forest.Merge(ra, rb)
+					merges++
 				}
-				if occupied {
-					collisions++
-					ra, rb := forest.Root(int(last)), forest.Root(li)
-					if ra != rb {
-						forest.Merge(ra, rb)
-						merges++
-					}
-				} else {
-					reps = append(reps, BucketRep{Key: key, Table: int32(t), Rep: li32})
-				}
-				tables[t][key] = li32
+			} else {
+				reps = append(reps, BucketRep{Key: key, Table: int32(t), Rep: li32})
 			}
 		}
-		kept.maps = tables
-	} else {
-		tables := pool.getTables(numTables, len(recs))
-		for li, rec := range recs {
-			scratch.keysFor(rec, rowKeys)
-			for t, key := range rowKeys {
-				li32 := int32(li)
-				last, occupied := tables[t].swap(key, li32)
-				if !forest.InTree(li) {
-					forest.MakeTree(li)
-				}
-				if occupied {
-					collisions++
-					ra, rb := forest.Root(int(last)), forest.Root(li)
-					if ra != rb {
-						forest.Merge(ra, rb)
-						merges++
-					}
-				} else {
-					reps = append(reps, BucketRep{Key: key, Table: int32(t), Rep: li32})
-				}
-			}
-		}
-		kept.tables = tables
 	}
 	scratch.flushEvals(evals)
 	scratch.flushSigElems(selems)
@@ -136,7 +99,7 @@ func ApplyHashExport(ds *record.Dataset, p *Plan, hf *HashFunc, cache *Cache, re
 		st.Collisions += collisions
 		st.Merges += merges
 	}
-	return out, reps, kept
+	return out, reps, BucketTables{shards: 1, numTables: numTables, tables: tables}
 }
 
 // collectClusterIdx is CollectClusters emitting local indices instead

@@ -32,61 +32,59 @@ func ophSigElems(s, lo, hi, maxFn int) int64 {
 }
 
 // TestSigElemsCounterIdentity pins the sig_elems_hashed accounting of
-// both signature families through Cache.Ensure, across both cache
-// layouts: a classic prefix extension from have to n over a set of s
-// elements hashes s*(n-have) elements (n-have sentinel writes when the
-// set is empty), while OPH pays one element pass plus the bin count
-// for every signature block the extension touches. Repeat lookups at
-// or under the cached prefix must not move the counter.
+// both signature families through Cache.Ensure: a classic prefix
+// extension from have to n over a set of s elements hashes s*(n-have)
+// elements (n-have sentinel writes when the set is empty), while OPH
+// pays one element pass plus the bin count for every signature block
+// the extension touches. Repeat lookups at or under the cached prefix
+// must not move the counter.
 func TestSigElemsCounterIdentity(t *testing.T) {
 	ds := clusteredSetDataset(t, []int{5, 3, 2}, 7)
-	for _, layout := range []core.CacheLayout{core.CacheArena, core.CacheSlices} {
-		for _, oph := range []bool{false, true} {
-			rule := jaccardRule()
-			if oph {
-				rule = distance.WithJaccardOPH(rule)
+	for _, oph := range []bool{false, true} {
+		rule := jaccardRule()
+		if oph {
+			rule = distance.WithJaccardOPH(rule)
+		}
+		plan, err := core.DesignPlan(ds, rule, core.SequenceConfig{Seed: 11})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cache := core.NewCache(ds, len(plan.Hashers))
+		var want int64
+		have := make(map[[2]int]int)
+		ensure := func(h, rec, n int) {
+			t.Helper()
+			cache.Ensure(plan, h, rec, n)
+			prev := have[[2]int{h, rec}]
+			if n <= prev {
+				return // cache hit: no hashing, no element work
 			}
-			plan, err := core.DesignPlan(ds, rule, core.SequenceConfig{Seed: 11})
-			if err != nil {
-				t.Fatal(err)
+			s := ds.Records[rec].Fields[0].Len()
+			switch {
+			case oph:
+				want += ophSigElems(s, prev, n, plan.Hashers[h].MaxFunctions())
+			case s == 0:
+				want += int64(n - prev)
+			default:
+				want += int64(s) * int64(n-prev)
 			}
-			cache := core.NewCacheLayout(ds, len(plan.Hashers), layout)
-			var want int64
-			have := make(map[[2]int]int)
-			ensure := func(h, rec, n int) {
-				t.Helper()
-				cache.Ensure(plan, h, rec, n)
-				prev := have[[2]int{h, rec}]
-				if n <= prev {
-					return // cache hit: no hashing, no element work
-				}
-				s := ds.Records[rec].Fields[0].Len()
-				switch {
-				case oph:
-					want += ophSigElems(s, prev, n, plan.Hashers[h].MaxFunctions())
-				case s == 0:
-					want += int64(n - prev)
-				default:
-					want += int64(s) * int64(n-prev)
-				}
-				have[[2]int{h, rec}] = n
+			have[[2]int{h, rec}] = n
+		}
+		for h := range plan.Hashers {
+			maxFn := plan.Hashers[h].MaxFunctions()
+			step := maxFn / 3
+			if step < 1 {
+				step = 1
 			}
-			for h := range plan.Hashers {
-				maxFn := plan.Hashers[h].MaxFunctions()
-				step := maxFn / 3
-				if step < 1 {
-					step = 1
-				}
-				ensure(h, 0, step)
-				ensure(h, 0, step) // repeat: hit
-				ensure(h, 0, maxFn)
-				ensure(h, 0, step) // shorter prefix: hit
-				ensure(h, 4, step)
-				ensure(h, 7, maxFn)
-			}
-			if got := cache.SigElemsHashed(); got != want {
-				t.Errorf("layout %v oph %v: SigElemsHashed = %d, want %d", layout, oph, got, want)
-			}
+			ensure(h, 0, step)
+			ensure(h, 0, step) // repeat: hit
+			ensure(h, 0, maxFn)
+			ensure(h, 0, step) // shorter prefix: hit
+			ensure(h, 4, step)
+			ensure(h, 7, maxFn)
+		}
+		if got := cache.SigElemsHashed(); got != want {
+			t.Errorf("oph %v: SigElemsHashed = %d, want %d", oph, got, want)
 		}
 	}
 }

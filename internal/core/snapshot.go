@@ -10,14 +10,8 @@ import (
 
 // CacheState is the serializable content of a Cache: per-(hasher,
 // record) signature prefixes flattened into one value run per hasher,
-// plus the eval / hit / miss counters. It is the layout-independent
-// view — an arena-backed cache and a legacy slice cache with the same
-// prefixes produce identical states — so a snapshot written under one
-// layout restores under the other without changing behavior.
+// plus the eval / hit / miss counters.
 type CacheState struct {
-	// Layout is the memory layout the cache used (restored caches are
-	// rebuilt under the same layout unless the caller overrides it).
-	Layout CacheLayout
 	// Lens[h][rec] is the cached prefix length of hasher h on record
 	// rec. Rows may cover fewer records than the dataset holds (records
 	// added after the last query have no prefixes yet).
@@ -37,19 +31,13 @@ type CacheState struct {
 func (c *Cache) State() *CacheState {
 	h := len(c.evals)
 	st := &CacheState{
-		Layout: c.layout,
-		Lens:   make([][]int32, h),
-		Vals:   make([][]uint64, h),
-		Evals:  c.HashEvals(),
+		Lens:  make([][]int32, h),
+		Vals:  make([][]uint64, h),
+		Evals: c.HashEvals(),
 	}
 	st.Hits, st.Misses = c.Lookups()
 	for i := 0; i < h; i++ {
-		var rows int
-		if c.layout == CacheSlices {
-			rows = len(c.vals[i])
-		} else {
-			rows = len(c.refs[i])
-		}
+		rows := len(c.refs[i])
 		lens := make([]int32, rows)
 		total := 0
 		for rec := 0; rec < rows; rec++ {
@@ -72,9 +60,6 @@ func (c *Cache) State() *CacheState {
 // prefixValues returns the cached n-value prefix of hasher h on rec
 // without touching the hit/miss counters (Ensure would count a hit).
 func (c *Cache) prefixValues(h, rec, n int) []uint64 {
-	if c.layout == CacheSlices {
-		return c.vals[h][rec][:n]
-	}
 	ref := &c.refs[h][rec]
 	return c.arenas[h].view(ref.page, ref.off, n)
 }
@@ -84,15 +69,12 @@ func (c *Cache) prefixValues(h, rec, n int) []uint64 {
 // Ensure hits, reports the same HashEvals/Lookups, and extends prefixes
 // from the same positions as the original.
 func NewCacheFromState(ds *record.Dataset, st *CacheState) (*Cache, error) {
-	if st.Layout > CacheSlices {
-		return nil, fmt.Errorf("core: cache state has unknown layout %d", st.Layout)
-	}
 	h := len(st.Evals)
 	if len(st.Lens) != h || len(st.Vals) != h {
 		return nil, fmt.Errorf("core: cache state has %d len rows / %d value runs for %d hashers",
 			len(st.Lens), len(st.Vals), h)
 	}
-	c := NewCacheLayout(ds, h, st.Layout)
+	c := NewCache(ds, h)
 	for i := 0; i < h; i++ {
 		if len(st.Lens[i]) > ds.Len() {
 			return nil, fmt.Errorf("core: cache state covers %d records of hasher %d, dataset has %d",
@@ -117,15 +99,9 @@ func NewCacheFromState(ds *record.Dataset, st *CacheState) (*Cache, error) {
 			}
 			vals := st.Vals[i][off : off+n]
 			off += n
-			if st.Layout == CacheSlices {
-				buf := make([]uint64, n)
-				copy(buf, vals)
-				c.vals[i][rec] = buf
-			} else {
-				page, o := c.arenas[i].alloc(n)
-				copy(c.arenas[i].view(page, o, n), vals)
-				c.refs[i][rec] = sigRef{page: page, off: o, n: int32(n), cap: int32(n)}
-			}
+			page, o := c.arenas[i].alloc(n)
+			copy(c.arenas[i].view(page, o, n), vals)
+			c.refs[i][rec] = sigRef{page: page, off: o, n: int32(n), cap: int32(n)}
 		}
 		c.evals[i] = st.Evals[i]
 	}
@@ -172,10 +148,6 @@ type StreamState struct {
 	QueryK, QueryKhat int
 	// QueryProbes / QueryRefresh are the point-query tuning knobs.
 	QueryProbes, QueryRefresh int
-	// Layout / MapTables are the stream's memory-layout knobs
-	// (SetMemLayout), applied to caches and bucket tables it creates.
-	Layout    CacheLayout
-	MapTables bool
 }
 
 // State captures the stream's serializable content (see StreamState
@@ -195,8 +167,6 @@ func (s *Stream) State() *StreamState {
 		QueryKhat:    s.qLastKhat,
 		QueryProbes:  s.queryProbes,
 		QueryRefresh: s.queryRefresh,
-		Layout:       s.layout,
-		MapTables:    s.mapTables,
 	}
 	if s.cache != nil {
 		st.Cache = s.cache.State()
@@ -225,9 +195,6 @@ func RestoreStream(st *StreamState) (*Stream, error) {
 	if err := st.Dataset.Validate(); err != nil {
 		return nil, fmt.Errorf("core: stream state dataset: %w", err)
 	}
-	if st.Layout > CacheSlices {
-		return nil, fmt.Errorf("core: stream state has unknown cache layout %d", st.Layout)
-	}
 	if st.QueryK < 0 || st.QueryKhat < 0 {
 		return nil, fmt.Errorf("core: stream state query k/k-hat %d/%d negative", st.QueryK, st.QueryKhat)
 	}
@@ -237,7 +204,6 @@ func RestoreStream(st *StreamState) (*Stream, error) {
 		qLastK:      st.QueryK,
 		qLastKhat:   st.QueryKhat,
 		queryProbes: st.QueryProbes, queryRefresh: st.QueryRefresh,
-		layout: st.Layout, mapTables: st.MapTables,
 	}
 	// Same normalization as SetReplanGrowth: a state carrying garbage
 	// must not silently disable re-planning.
@@ -269,7 +235,7 @@ func RestoreStream(st *StreamState) (*Stream, error) {
 	if cst == nil {
 		// Tolerated for hand-built states: an empty cache is behaviorally
 		// a cold one.
-		cst = &CacheState{Layout: st.Layout, Evals: make([]int64, len(st.Plan.Hashers)),
+		cst = &CacheState{Evals: make([]int64, len(st.Plan.Hashers)),
 			Lens: make([][]int32, len(st.Plan.Hashers)), Vals: make([][]uint64, len(st.Plan.Hashers))}
 	}
 	if len(cst.Evals) != len(st.Plan.Hashers) {

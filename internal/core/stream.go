@@ -72,13 +72,6 @@ type Stream struct {
 	hashMin int
 	sink    obs.Sink
 
-	// layout/mapTables are the memory-layout knobs (SetMemLayout):
-	// layout selects the signature-cache layout of caches the stream
-	// creates, mapTables the bucket-table implementation of its filter
-	// runs. Both persist across snapshot/restore.
-	layout    CacheLayout
-	mapTables bool
-
 	// ckptEvery/ckptFn/ckptAt drive the periodic checkpoint hook
 	// (SetCheckpointEvery): after a successful TopKClusters, fn runs
 	// when at least ckptEvery records arrived since the last checkpoint.
@@ -163,19 +156,6 @@ func (s *Stream) SetWorkers(workers, hashShards int) {
 // the knob exists for tuning and for exercising the parallel hash path
 // on small datasets in tests.
 func (s *Stream) SetHashMinParallel(n int) { s.hashMin = n }
-
-// SetMemLayout selects the memory layouts of subsequent queries:
-// the signature-cache layout (CacheArena, the default, or the legacy
-// CacheSlices) and whether hashing rounds bucket into Go maps instead
-// of the default pooled open-addressing tables. Results, statistics
-// and counters are identical for every combination. The signature
-// cache is created at plan-design time, so call this before the first
-// TopK — later calls affect only caches created by future re-designs.
-// Both knobs persist across snapshot/restore.
-func (s *Stream) SetMemLayout(layout CacheLayout, mapTables bool) {
-	s.layout = layout
-	s.mapTables = mapTables
-}
 
 // SetObs attaches an observability sink: each query is reported as a
 // StageStream span wrapping the filter run's own spans and counters,
@@ -304,7 +284,7 @@ func (s *Stream) TopKClusters(k, returnClusters int) (*Result, error) {
 		res, err = s.engine(s.ds, s.plan, Options{
 			K: k, ReturnClusters: returnClusters,
 			Workers: s.workers, HashShards: s.shards, HashMinParallel: s.hashMin,
-			HashMapTables: s.mapTables, CacheLayout: s.layout, Obs: s.sink,
+			Obs: s.sink,
 		})
 	} else {
 		s.cache.Grow(s.ds.Len())
@@ -315,8 +295,7 @@ func (s *Stream) TopKClusters(k, returnClusters int) (*Result, error) {
 		res, err = Filter(s.ds, s.plan, Options{
 			K: k, ReturnClusters: returnClusters, Cache: s.cache, HashPool: s.pool,
 			Workers: s.workers, HashShards: s.shards, HashMinParallel: s.hashMin,
-			HashMapTables: s.mapTables, Obs: s.sink,
-			Capture: s.qix,
+			Obs: s.sink, Capture: s.qix,
 		})
 	}
 	if err != nil {
@@ -465,7 +444,7 @@ func (s *Stream) ensurePlan() error {
 			obs.Count(s.sink, obs.CtrReplans, 1)
 		}
 	case s.plan == nil:
-		s.cache = NewCacheLayout(s.ds, len(plan.Hashers), s.layout)
+		s.cache = NewCache(s.ds, len(plan.Hashers))
 	case reflect.DeepEqual(s.plan.HasherDescs, plan.HasherDescs):
 		// Same hashers — the long-lived cache stays valid; only the
 		// budgets/schemes and the re-calibrated cost model changed.
@@ -475,7 +454,7 @@ func (s *Stream) ensurePlan() error {
 		// The hasher set itself changed (e.g. a different rule-driven
 		// descriptor after growth); cached values are for the old
 		// functions and must be dropped.
-		s.cache = NewCacheLayout(s.ds, len(plan.Hashers), s.layout)
+		s.cache = NewCache(s.ds, len(plan.Hashers))
 		s.replans++
 		obs.Count(s.sink, obs.CtrReplans, 1)
 	}

@@ -39,12 +39,6 @@ type HashOptions struct {
 	// serial path is used (0 means the built-in 4096 default). Mainly
 	// for tests and tuning.
 	MinParallel int
-	// MapTables selects the legacy per-invocation map[uint64]int32
-	// bucket tables instead of the pooled open-addressing tables. The
-	// partition and every counter are identical either way; the map
-	// path is the reference implementation for the memory-layout
-	// equivalence tests and A/B benchmarks.
-	MapTables bool
 	// Pool recycles bucket tables and scratch buffers across
 	// invocations (FilterIncremental threads one pool through a whole
 	// run, Stream through a stream's lifetime). A nil Pool builds a
@@ -102,8 +96,8 @@ type HashStats struct {
 	SigElems int64
 }
 
-// ApplyHash applies transitive hashing function hf to the records in
-// recs (dataset record IDs) and returns the resulting partition, one
+// ApplyHashOpt applies transitive hashing function hf to the records
+// in recs (dataset record IDs) and returns the resulting partition, one
 // slice of record IDs per cluster (Definition 1: the connected
 // components of the bucket-collision graph).
 //
@@ -114,27 +108,18 @@ type HashStats struct {
 // the incremental-computation saving comes from. A nil cache streams
 // instead — each record's hash values live only while that record is
 // inserted — which one-shot blocking baselines use to bound memory.
-func ApplyHash(ds *record.Dataset, p *Plan, hf *HashFunc, cache *Cache, recs []int32) [][]int32 {
-	return ApplyHashOpt(ds, p, hf, cache, recs, HashOptions{}, nil)
-}
-
-// ApplyHashStats is ApplyHash with an explicit worker count and
-// optional work accounting (HashOptions defaults otherwise).
-func ApplyHashStats(ds *record.Dataset, p *Plan, hf *HashFunc, cache *Cache, recs []int32, workers int, st *HashStats) [][]int32 {
-	return ApplyHashOpt(ds, p, hf, cache, recs, HashOptions{Workers: workers}, st)
-}
-
-// ApplyHashOpt is ApplyHash with explicit options and work accounting:
-// when st is non-nil, streamed base-hash evaluations and cumulative
-// busy time are accumulated into it. Inputs of MinParallel records or
-// more run the parallel pipeline — key precompute in worker waves,
-// then bucket insertion over sharded bucket tables with a
-// deterministic per-shard merge. The partition is identical for every
-// worker and shard count: shard edge lists follow record order,
-// components are edge-order independent, and CollectClusters emits a
-// canonical ordering. Fresh table *contents* per invocation come from
-// an O(1) epoch clear; the table *memory* is recycled through the
-// pool, which is where the hot loop's allocation saving comes from.
+//
+// When st is non-nil, streamed base-hash evaluations, cumulative busy
+// time and the collision/merge counters are accumulated into it.
+// Inputs of MinParallel records or more run the parallel pipeline —
+// key precompute in worker waves, then bucket insertion over sharded
+// bucket tables with a deterministic per-shard merge. The partition is
+// identical for every worker and shard count: shard edge lists follow
+// record order, components are edge-order independent, and
+// CollectClusters emits a canonical ordering. Fresh table *contents*
+// per invocation come from an O(1) epoch clear; the table *memory* is
+// recycled through the pool, which is where the hot loop's allocation
+// saving comes from.
 func ApplyHashOpt(ds *record.Dataset, p *Plan, hf *HashFunc, cache *Cache, recs []int32, opts HashOptions, st *HashStats) [][]int32 {
 	start := time.Now()
 	opts = opts.resolve()
@@ -206,40 +191,20 @@ func ApplyHashOpt(ds *record.Dataset, p *Plan, hf *HashFunc, cache *Cache, recs 
 		// whose key hashes to it; each shard walks the key matrix in
 		// (record, table) order — the serial insertion order — so its
 		// bucket tables hold exactly the serial tables' buckets for its
-		// key slice, and its edge list is deterministic.
-		var shardTabs []*oaTable
-		var edgesByShard [][]mergeEdge
-		var mapsByShard [][]map[uint64]int32
-		if capture != nil {
-			capture.shards = opts.Shards
-		}
-		if opts.MapTables {
-			edgesByShard = make([][]mergeEdge, opts.Shards)
-			mapsByShard = make([][]map[uint64]int32, opts.Shards)
-			for s := 0; s < opts.Shards; s++ {
-				wg.Add(1)
-				go func(s int) {
-					defer wg.Done()
-					t0 := time.Now()
-					edgesByShard[s], mapsByShard[s] = shardEdgesMap(keys, len(recs), numTables, s, opts.Shards, prev)
-					atomic.AddInt64(&parBusyNS, int64(time.Since(t0)))
-				}(s)
-			}
-		} else {
-			// Every shard's table set is acquired up front on this
-			// goroutine (the pool is not locked) and handed to its
-			// worker; per-shard expected occupancy sizes the tables.
-			shardTabs = pool.getTables(numTables*opts.Shards, len(recs)/opts.Shards+1)
-			edgesByShard = pool.edgeSlots(opts.Shards)
-			for s := 0; s < opts.Shards; s++ {
-				wg.Add(1)
-				go func(s int, tabs []*oaTable) {
-					defer wg.Done()
-					t0 := time.Now()
-					edgesByShard[s] = shardEdges(keys, len(recs), numTables, s, opts.Shards, tabs, edgesByShard[s], prev)
-					atomic.AddInt64(&parBusyNS, int64(time.Since(t0)))
-				}(s, shardTabs[s*numTables:(s+1)*numTables])
-			}
+		// key slice, and its edge list is deterministic. Every shard's
+		// table set is acquired up front on this goroutine (the pool is
+		// not locked) and handed to its worker; per-shard expected
+		// occupancy sizes the tables.
+		shardTabs := pool.getTables(numTables*opts.Shards, len(recs)/opts.Shards+1)
+		edgesByShard := pool.edgeSlots(opts.Shards)
+		for s := 0; s < opts.Shards; s++ {
+			wg.Add(1)
+			go func(s int, tabs []*oaTable) {
+				defer wg.Done()
+				t0 := time.Now()
+				edgesByShard[s] = shardEdges(keys, len(recs), numTables, s, opts.Shards, tabs, edgesByShard[s], prev)
+				atomic.AddInt64(&parBusyNS, int64(time.Since(t0)))
+			}(s, shardTabs[s*numTables:(s+1)*numTables])
 		}
 		wg.Wait()
 		parWall = time.Since(pw0)
@@ -262,63 +227,12 @@ func ApplyHashOpt(ds *record.Dataset, p *Plan, hf *HashFunc, cache *Cache, recs 
 				}
 			}
 		}
-		if shardTabs != nil {
-			pool.putEdgeSlots(edgesByShard)
-			if capture != nil {
-				capture.tables = shardTabs
-			} else {
-				pool.putTables(shardTabs)
-			}
-		} else if capture != nil {
-			// Flatten the per-shard lazily-created maps into the
-			// capture's shard*numTables+t layout (missing maps stay nil:
-			// no key of that table routed to that shard).
-			capture.maps = make([]map[uint64]int32, opts.Shards*numTables)
-			for s, maps := range mapsByShard {
-				copy(capture.maps[s*numTables:(s+1)*numTables], maps)
-			}
-		}
-	} else if opts.MapTables {
-		// Legacy serial path: one pass in record order over per-table
-		// Go maps, merging on occupied buckets. No capacity hint: most
-		// invocations are small re-hash rounds, and pre-sizing every
-		// table for len(recs) wasted allocation on that long tail (the
-		// pooled path below sizes from expected occupancy instead).
-		tables := make([]map[uint64]int32, numTables)
-		for t := range tables {
-			tables[t] = make(map[uint64]int32)
-		}
-		scratch := pool.getScratch(ds, p, hf, cache)
-		rowKeys := pool.keyMatrix(numTables)
-		for li, rec := range recs {
-			scratch.keysFor(rec, rowKeys)
-			for t, key := range rowKeys {
-				li32 := int32(li)
-				last, occupied := tables[t][key]
-				if !forest.InTree(li) {
-					forest.MakeTree(li) // cases 1 and 3 of Figure 19
-				}
-				if occupied {
-					collisions++
-					if prev != nil {
-						prev[t][li] = last
-					}
-					ra, rb := forest.Root(int(last)), forest.Root(li)
-					if ra != rb {
-						forest.Merge(ra, rb) // case 3/4 merge
-						merges++
-					}
-				}
-				// The bucket remembers the record last added: starting the
-				// root walk from it keeps paths short (Appendix B.2).
-				tables[t][key] = li32
-			}
-		}
-		scratch.flushEvals(evals)
-		scratch.flushSigElems(selems)
-		pool.putScratch(scratch)
+		pool.putEdgeSlots(edgesByShard)
 		if capture != nil {
-			capture.maps = tables
+			capture.shards = opts.Shards
+			capture.tables = shardTabs
+		} else {
+			pool.putTables(shardTabs)
 		}
 	} else {
 		// Serial path: one pass in record order, inserting into pooled
@@ -403,35 +317,6 @@ func shardEdges(keys []uint64, numRecs, numTables, shard, shards int, tabs []*oa
 		}
 	}
 	return edges
-}
-
-// shardEdgesMap is shardEdges over legacy Go maps (the reference
-// implementation the equivalence tests compare against). The lazily
-// created maps are returned so a BucketCapture can retain them.
-func shardEdgesMap(keys []uint64, numRecs, numTables, shard, shards int, prev [][]int32) ([]mergeEdge, []map[uint64]int32) {
-	var edges []mergeEdge
-	maps := make([]map[uint64]int32, numTables)
-	for li := 0; li < numRecs; li++ {
-		row := keys[li*numTables : (li+1)*numTables]
-		for t, key := range row {
-			if keyShard(key, shards) != shard {
-				continue
-			}
-			m := maps[t]
-			if m == nil {
-				m = make(map[uint64]int32)
-				maps[t] = m
-			}
-			if last, occupied := m[key]; occupied {
-				edges = append(edges, mergeEdge{a: last, b: int32(li)})
-				if prev != nil {
-					prev[t][li] = last
-				}
-			}
-			m[key] = int32(li)
-		}
-	}
-	return edges, maps
 }
 
 // keyScratch computes a record's bucket keys, either through the

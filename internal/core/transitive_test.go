@@ -11,7 +11,7 @@ import (
 
 // bruteComponents computes the connected components of the bucket-
 // collision graph directly from the plan's hashers — the Definition 1
-// semantics ApplyHash must reproduce.
+// semantics ApplyHashOpt must reproduce.
 func bruteComponents(ds *record.Dataset, plan *core.Plan, hf *core.HashFunc, recs []int32) [][]int32 {
 	n := len(recs)
 	adj := make([][]bool, n)
@@ -109,7 +109,7 @@ func TestApplyHashMatchesBruteForce(t *testing.T) {
 		}
 		for _, hf := range plan.Funcs {
 			cache := core.NewCache(ds, len(plan.Hashers))
-			got := canonical(core.ApplyHash(ds, plan, hf, cache, recs))
+			got := canonical(core.ApplyHashOpt(ds, plan, hf, cache, recs, core.HashOptions{}, nil))
 			want := canonical(bruteComponents(ds, plan, hf, recs))
 			// Same partition: representatives must induce the same
 			// equivalence classes.
@@ -156,8 +156,8 @@ func TestApplyHashStreamingEqualsCached(t *testing.T) {
 	}
 	for _, hf := range plan.Funcs {
 		cache := core.NewCache(ds, len(plan.Hashers))
-		a := canonical(core.ApplyHash(ds, plan, hf, cache, recs))
-		b := canonical(core.ApplyHash(ds, plan, hf, nil, recs))
+		a := canonical(core.ApplyHashOpt(ds, plan, hf, cache, recs, core.HashOptions{}, nil))
+		b := canonical(core.ApplyHashOpt(ds, plan, hf, nil, recs, core.HashOptions{}, nil))
 		if len(a) != len(b) {
 			t.Fatalf("H_%d: partition sizes differ", hf.Seq)
 		}
@@ -183,19 +183,19 @@ func TestCacheIncremental(t *testing.T) {
 	for i := range recs {
 		recs[i] = int32(i)
 	}
-	core.ApplyHash(ds, plan, plan.Funcs[0], cache, recs)
+	core.ApplyHashOpt(ds, plan, plan.Funcs[0], cache, recs, core.HashOptions{}, nil)
 	after1 := cache.TotalEvals()
 	wantH1 := int64(plan.Funcs[0].FuncsPerHasher[0]) * int64(ds.Len())
 	if after1 != wantH1 {
 		t.Fatalf("H_1 evals = %d, want %d", after1, wantH1)
 	}
 	// Re-applying H_1 computes nothing new.
-	core.ApplyHash(ds, plan, plan.Funcs[0], cache, recs)
+	core.ApplyHashOpt(ds, plan, plan.Funcs[0], cache, recs, core.HashOptions{}, nil)
 	if cache.TotalEvals() != after1 {
 		t.Fatal("re-applying H_1 recomputed hashes")
 	}
 	// H_2 pays only the difference.
-	core.ApplyHash(ds, plan, plan.Funcs[1], cache, recs)
+	core.ApplyHashOpt(ds, plan, plan.Funcs[1], cache, recs, core.HashOptions{}, nil)
 	wantH2 := int64(plan.Funcs[1].FuncsPerHasher[0]) * int64(ds.Len())
 	if cache.TotalEvals() != wantH2 {
 		t.Fatalf("after H_2: evals = %d, want %d (incremental)", cache.TotalEvals(), wantH2)

@@ -67,9 +67,9 @@ func TestOPHQualityDifferential(t *testing.T) {
 
 // TestOPHByteIdentity is the determinism half: within the OPH family
 // one plan must filter byte-identically no matter how the work is
-// scheduled — workers {1, 4} x shards {1, 4} x both cache layouts all
-// reproduce the reference run's clusters, output, HashEvals and
-// observability counters. The pairwise stage is pinned serial as in
+// scheduled — workers {1, 4} x shards {1, 4} all reproduce the
+// reference run's clusters, output, HashEvals and observability
+// counters. The pairwise stage is pinned serial as in
 // the sibling equivalence suites so counter equality is exact.
 func TestOPHByteIdentity(t *testing.T) {
 	if testing.Short() {
@@ -89,39 +89,28 @@ func TestOPHByteIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	refCtrs := refCol.Counters()
-	for _, legacy := range []bool{false, true} {
-		layout := "arena"
-		if legacy {
-			layout = "legacy"
-		}
-		for _, workers := range []int{1, 4} {
-			for _, shards := range []int{1, 4} {
-				label := fmt.Sprintf("%s/workers=%d/shards=%d", layout, workers, shards)
-				col := obs.NewCollector()
-				opts := shard.Options{
-					Shards: shards, K: 5, Workers: workers,
-					PairwiseMinPairs: 1 << 62, Obs: col,
-				}
-				if legacy {
-					opts.CacheLayout = core.CacheSlices
-					opts.MapTables = true
-				}
-				res, err := shard.Filter(b.Dataset, plan, opts)
-				if err != nil {
-					t.Fatalf("%s: %v", label, err)
-				}
-				if !reflect.DeepEqual(res.Clusters, ref.Clusters) {
-					t.Errorf("%s: clusters differ from the reference run", label)
-				}
-				if !reflect.DeepEqual(res.Output, ref.Output) {
-					t.Errorf("%s: output differs from the reference run", label)
-				}
-				if !reflect.DeepEqual(res.Stats.HashEvals, ref.Stats.HashEvals) {
-					t.Errorf("%s: HashEvals %v != reference %v", label, res.Stats.HashEvals, ref.Stats.HashEvals)
-				}
-				if got := stripBoundaryCounters(col.Counters()); !reflect.DeepEqual(got, refCtrs) {
-					t.Errorf("%s: obs counters differ:\n  run: %v\n  ref: %v", label, got, refCtrs)
-				}
+	for _, workers := range []int{1, 4} {
+		for _, shards := range []int{1, 4} {
+			label := fmt.Sprintf("workers=%d/shards=%d", workers, shards)
+			col := obs.NewCollector()
+			res, err := shard.Filter(b.Dataset, plan, shard.Options{
+				Shards: shards, K: 5, Workers: workers,
+				PairwiseMinPairs: 1 << 62, Obs: col,
+			})
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			if !reflect.DeepEqual(res.Clusters, ref.Clusters) {
+				t.Errorf("%s: clusters differ from the reference run", label)
+			}
+			if !reflect.DeepEqual(res.Output, ref.Output) {
+				t.Errorf("%s: output differs from the reference run", label)
+			}
+			if !reflect.DeepEqual(res.Stats.HashEvals, ref.Stats.HashEvals) {
+				t.Errorf("%s: HashEvals %v != reference %v", label, res.Stats.HashEvals, ref.Stats.HashEvals)
+			}
+			if got := stripBoundaryCounters(col.Counters()); !reflect.DeepEqual(got, refCtrs) {
+				t.Errorf("%s: obs counters differ:\n  run: %v\n  ref: %v", label, got, refCtrs)
 			}
 		}
 	}

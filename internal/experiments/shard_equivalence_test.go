@@ -28,10 +28,9 @@ func stripBoundaryCounters(ctrs map[string]int64) map[string]int64 {
 }
 
 // TestShardedEquivalenceOnBuilders is the scale-out counterpart of the
-// memory-layout and parallel-hash equivalence suites: on a slice of
-// each paper dataset builder it runs the sharded engine
-// (internal/shard) against the single engine at shards {1, 2, 8} x
-// workers {1, 4} x both memory layouts. Clusters, output, HashEvals,
+// parallel-hash equivalence suite: on a slice of each paper dataset
+// builder it runs the sharded engine (internal/shard) against the
+// single engine at shards {1, 2, 8} x workers {1, 4}. Clusters, output, HashEvals,
 // PairsComputed, ModelCost and every shared observability counter must
 // be byte-identical — partitioning may only change where work runs,
 // never what the filter computes. The pairwise stage is pinned serial
@@ -53,61 +52,45 @@ func TestShardedEquivalenceOnBuilders(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		for _, legacy := range []bool{false, true} {
-			layout := "arena"
-			if legacy {
-				layout = "legacy"
+		for _, workers := range []int{1, 4} {
+			col := obs.NewCollector()
+			single, err := core.Filter(b.Dataset, plan, core.Options{
+				K: 5, Workers: workers,
+				PairwiseMinPairs: 1 << 62,
+				Obs:              col,
+			})
+			if err != nil {
+				t.Fatalf("%s/workers=%d: single engine: %v", name, workers, err)
 			}
-			for _, workers := range []int{1, 4} {
-				col := obs.NewCollector()
-				opts := core.Options{
-					K: 5, Workers: workers,
+			singleCtrs := col.Counters()
+			for _, shards := range []int{1, 2, 8} {
+				label := fmt.Sprintf("%s/workers=%d/shards=%d", name, workers, shards)
+				scol := obs.NewCollector()
+				sharded, err := shard.Filter(b.Dataset, plan, shard.Options{
+					Shards: shards, K: 5, Workers: workers,
 					PairwiseMinPairs: 1 << 62,
-					Obs:              col,
-				}
-				if legacy {
-					opts.CacheLayout = core.CacheSlices
-					opts.HashMapTables = true
-				}
-				single, err := core.Filter(b.Dataset, plan, opts)
+					Obs:              scol,
+				})
 				if err != nil {
-					t.Fatalf("%s/%s/workers=%d: single engine: %v", name, layout, workers, err)
+					t.Fatalf("%s: %v", label, err)
 				}
-				singleCtrs := col.Counters()
-				for _, shards := range []int{1, 2, 8} {
-					label := fmt.Sprintf("%s/%s/workers=%d/shards=%d", name, layout, workers, shards)
-					scol := obs.NewCollector()
-					sopts := shard.Options{
-						Shards: shards, K: 5, Workers: workers,
-						PairwiseMinPairs: 1 << 62,
-						Obs:              scol,
-					}
-					if legacy {
-						sopts.CacheLayout = core.CacheSlices
-						sopts.MapTables = true
-					}
-					sharded, err := shard.Filter(b.Dataset, plan, sopts)
-					if err != nil {
-						t.Fatalf("%s: %v", label, err)
-					}
-					if !reflect.DeepEqual(sharded.Clusters, single.Clusters) {
-						t.Errorf("%s: clusters differ from single engine", label)
-					}
-					if !reflect.DeepEqual(sharded.Output, single.Output) {
-						t.Errorf("%s: output differs from single engine", label)
-					}
-					if !reflect.DeepEqual(sharded.Stats.HashEvals, single.Stats.HashEvals) {
-						t.Errorf("%s: HashEvals %v != single %v", label, sharded.Stats.HashEvals, single.Stats.HashEvals)
-					}
-					if sharded.Stats.PairsComputed != single.Stats.PairsComputed {
-						t.Errorf("%s: PairsComputed %d != single %d", label, sharded.Stats.PairsComputed, single.Stats.PairsComputed)
-					}
-					if sharded.Stats.ModelCost != single.Stats.ModelCost {
-						t.Errorf("%s: ModelCost %v != single %v", label, sharded.Stats.ModelCost, single.Stats.ModelCost)
-					}
-					if got := stripBoundaryCounters(scol.Counters()); !reflect.DeepEqual(got, singleCtrs) {
-						t.Errorf("%s: obs counters differ:\n  sharded: %v\n  single:  %v", label, got, singleCtrs)
-					}
+				if !reflect.DeepEqual(sharded.Clusters, single.Clusters) {
+					t.Errorf("%s: clusters differ from single engine", label)
+				}
+				if !reflect.DeepEqual(sharded.Output, single.Output) {
+					t.Errorf("%s: output differs from single engine", label)
+				}
+				if !reflect.DeepEqual(sharded.Stats.HashEvals, single.Stats.HashEvals) {
+					t.Errorf("%s: HashEvals %v != single %v", label, sharded.Stats.HashEvals, single.Stats.HashEvals)
+				}
+				if sharded.Stats.PairsComputed != single.Stats.PairsComputed {
+					t.Errorf("%s: PairsComputed %d != single %d", label, sharded.Stats.PairsComputed, single.Stats.PairsComputed)
+				}
+				if sharded.Stats.ModelCost != single.Stats.ModelCost {
+					t.Errorf("%s: ModelCost %v != single %v", label, sharded.Stats.ModelCost, single.Stats.ModelCost)
+				}
+				if got := stripBoundaryCounters(scol.Counters()); !reflect.DeepEqual(got, singleCtrs) {
+					t.Errorf("%s: obs counters differ:\n  sharded: %v\n  single:  %v", label, got, singleCtrs)
 				}
 			}
 		}

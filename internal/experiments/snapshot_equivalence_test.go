@@ -28,22 +28,19 @@ type snapPhase struct {
 	missDelta  int64
 }
 
-// snapConfig is one cell of the layout x parallelism matrix.
+// snapConfig is one cell of the parallelism matrix.
 type snapConfig struct {
-	name      string
-	workers   int
-	layout    core.CacheLayout
-	mapTables bool
+	name    string
+	workers int
 }
 
-// apply re-installs the runtime knobs on a stream. The memory layout
-// travels inside the snapshot; workers and the parallel floor are
-// process-local tuning and must be re-set after a restore — which the
-// suite does deliberately, mimicking a warm restart on the same host.
+// apply re-installs the runtime knobs on a stream. Workers and the
+// parallel floor are process-local tuning and must be re-set after a
+// restore — which the suite does deliberately, mimicking a warm
+// restart on the same host.
 func (c snapConfig) apply(s *core.Stream) {
 	s.SetWorkers(c.workers, 0)
 	s.SetHashMinParallel(1)
-	s.SetMemLayout(c.layout, c.mapTables)
 	// One plan for the whole session: replans re-run the wall-clock
 	// cost calibration, which is legitimately nondeterministic, so a
 	// replanning baseline could not be compared bit-for-bit against
@@ -111,8 +108,7 @@ func comparePhase(t *testing.T, label string, got, want snapPhase) {
 // phase must be byte-identical to the uninterrupted session: clusters,
 // output, ModelCost, HashEvals, PairsComputed, cumulative cached
 // evaluation counts and the per-phase cache hit/miss deltas. The
-// matrix covers serial and 4-worker runs in both memory layouts
-// (arena + open-addressing, and the legacy slices + Go-map tables).
+// matrix covers serial and 4-worker runs.
 func TestSnapshotRestoreEquivalenceOnBuilders(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full filter sweeps")
@@ -128,10 +124,8 @@ func TestSnapshotRestoreEquivalenceOnBuilders(t *testing.T) {
 		batches = 3
 	)
 	configs := []snapConfig{
-		{name: "serial/arena+oa", workers: 1, layout: core.CacheArena, mapTables: false},
-		{name: "serial/legacy", workers: 1, layout: core.CacheSlices, mapTables: true},
-		{name: "parallel/arena+oa", workers: 4, layout: core.CacheArena, mapTables: false},
-		{name: "parallel/legacy", workers: 4, layout: core.CacheSlices, mapTables: true},
+		{name: "serial", workers: 1},
+		{name: "parallel", workers: 4},
 	}
 	for name, b := range benches {
 		if b.Dataset.Len() < batch*batches {

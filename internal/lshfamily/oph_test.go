@@ -42,7 +42,7 @@ func TestOPHCollisionProbability(t *testing.T) {
 	for i := range union {
 		union[i] = rng.Uint64()
 	}
-	a := setRecord(union[:6000]...)  // shares union[3000:6000] with b
+	a := setRecord(union[:6000]...) // shares union[3000:6000] with b
 	b := setRecord(union[3000:]...) // jaccard sim 3000/9000 = 1/3
 	got := batchCollisionRate(h, a, b, bins)
 	if math.Abs(got-1.0/3) > 0.03 {

@@ -18,6 +18,9 @@
 //	GET    /v1/sessions/{id}/stats       obs counters + plan/replan state
 //	GET    /healthz                      liveness + session count
 //
+// Request bodies are capped at 32 MiB; a larger body is refused with
+// 413 before anything is decoded.
+//
 // This file defines the wire types, shared by the handlers and the Go
 // client (internal/server/client). Field payloads reuse the dsio
 // per-field JSON form: {"set":[...]}, {"vector":[...]} or

@@ -22,3 +22,11 @@ func QueueFull(s *Session) bool {
 
 // Lookup exposes the registry for test assertions.
 func (sv *Server) Lookup(id string) *Session { return sv.session(id) }
+
+// SetMaxBodyBytes lowers the request-body cap so tests can exceed it
+// with small payloads. It returns a restore function.
+func SetMaxBodyBytes(n int64) func() {
+	old := maxBodyBytes
+	maxBodyBytes = n
+	return func() { maxBodyBytes = old }
+}

@@ -282,16 +282,32 @@ func writeErr(w http.ResponseWriter, code int, format string, args ...any) {
 	writeJSON(w, code, ErrorResponse{Error: fmt.Sprintf(format, args...)})
 }
 
-// readJSON decodes a request body, rejecting trailing garbage.
-func readJSON(r *http.Request, v any) error {
-	dec := json.NewDecoder(r.Body)
-	if err := dec.Decode(v); err != nil {
-		return err
+// maxBodyBytes caps every request body: one oversized client must not
+// balloon the daemon's memory. Ingest batches of a few thousand
+// records stay far below it. A var only so tests can lower it (see
+// export_test.go); production code treats it as a constant.
+var maxBodyBytes int64 = 32 << 20
+
+// readJSON decodes a request body of at most maxBodyBytes into v,
+// rejecting trailing garbage. It answers the request itself on
+// failure — 413 past the cap, 400 for malformed input — and reports
+// whether v holds the decoded body.
+func readJSON(w http.ResponseWriter, r *http.Request, v any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	err := dec.Decode(v)
+	if err == nil && dec.More() {
+		err = fmt.Errorf("trailing data after JSON body")
 	}
-	if dec.More() {
-		return fmt.Errorf("trailing data after JSON body")
+	if err == nil {
+		return true
 	}
-	return nil
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		writeErr(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooBig.Limit)
+	} else {
+		writeErr(w, http.StatusBadRequest, "decoding request: %v", err)
+	}
+	return false
 }
 
 func (sv *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
@@ -303,8 +319,7 @@ func (sv *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 
 func (sv *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	var req CreateSessionRequest
-	if err := readJSON(r, &req); err != nil {
-		writeErr(w, http.StatusBadRequest, "decoding request: %v", err)
+	if !readJSON(w, r, &req) {
 		return
 	}
 	s, err := sv.Create(req)
@@ -359,8 +374,7 @@ func (sv *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req IngestRequest
-	if err := readJSON(r, &req); err != nil {
-		writeErr(w, http.StatusBadRequest, "decoding request: %v", err)
+	if !readJSON(w, r, &req) {
 		return
 	}
 	wire := req.Records
@@ -462,8 +476,7 @@ func (sv *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req QueryRequest
-	if err := readJSON(r, &req); err != nil {
-		writeErr(w, http.StatusBadRequest, "decoding request: %v", err)
+	if !readJSON(w, r, &req) {
 		return
 	}
 	fields, err := dsio.DecodeFields(req.Fields)

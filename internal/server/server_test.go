@@ -413,6 +413,43 @@ func TestHTTPErrors(t *testing.T) {
 	}
 }
 
+// TestIngestOverBodyCap: an ingest body past the request-body cap is
+// refused with 413 before any record is decoded, and the session keeps
+// its record count; a body under the cap still ingests.
+func TestIngestOverBodyCap(t *testing.T) {
+	_, c := startServer(t, server.Options{})
+	wire, _, _ := testRecords(t, 40, 4, 29)
+	if _, err := c.CreateSession(server.CreateSessionRequest{ID: "cap", Rule: testRule}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Ingest("cap", wire[:5]...); err != nil {
+		t.Fatal(err)
+	}
+	one, err := json.Marshal(server.IngestRequest{Records: wire[5:6]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch, err := json.Marshal(server.IngestRequest{Records: wire[6:]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	limit := int64(2 * len(one))
+	if int64(len(batch)) <= limit {
+		t.Fatalf("batch body %d bytes does not exceed the %d-byte test cap", len(batch), limit)
+	}
+	defer server.SetMaxBodyBytes(limit)()
+
+	if _, err := c.Ingest("cap", wire[6:]...); status(err) != http.StatusRequestEntityTooLarge {
+		t.Fatalf("over-cap ingest: got %v, want 413", err)
+	}
+	if info, err := c.Stats("cap"); err != nil || info.Records != 5 {
+		t.Fatalf("after over-cap ingest: stats %+v, %v; want 5 records", info, err)
+	}
+	if res, err := c.Ingest("cap", wire[5]); err != nil || res.Records != 6 {
+		t.Fatalf("under-cap ingest: %+v, %v; want 6 records", res, err)
+	}
+}
+
 func status(err error) int {
 	if ae, ok := err.(*client.APIError); ok {
 		return ae.Status

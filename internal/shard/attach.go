@@ -16,11 +16,11 @@ import (
 //
 // The stream's runtime knobs keep working: SetWorkers bounds the
 // number of concurrently hashing shards and reconcile probe workers,
-// SetMemLayout selects the per-shard cache layout and bucket tables,
-// SetObs feeds the engine's spans and counters. Point queries (Stream.Query) are unavailable
-// while an engine is attached — the sharded engine retains no bucket
-// capture — and return core.ErrNoQueryIndex; serving layers surface
-// that as "no index" exactly as for a stream before its first TopK.
+// SetObs feeds the engine's spans and counters. Point queries
+// (Stream.Query) are unavailable while an engine is attached — the
+// sharded engine retains no bucket capture — and return
+// core.ErrNoQueryIndex; serving layers surface that as "no index"
+// exactly as for a stream before its first TopK.
 //
 // Attach(st, 1) is valid (one shard, still reconciled) but pointless
 // outside tests; shards < 1 is an error.
@@ -39,8 +39,6 @@ func Attach(st *core.Stream, shards int) (*Engine, error) {
 			ReturnClusters:   o.ReturnClusters,
 			Workers:          o.Workers,
 			PairwiseMinPairs: o.PairwiseMinPairs,
-			CacheLayout:      o.CacheLayout,
-			MapTables:        o.HashMapTables,
 			MemSample:        o.MemSample,
 			Obs:              o.Obs,
 			OnRound:          o.OnRound,

@@ -15,8 +15,10 @@ import (
 // mapExchange is the reference reconcile: replay every shard's local
 // components, then walk the shards' bucket representatives in shard
 // order through one Go map per table, chaining each later holder of a
-// (table, key) to the previous one.
-func mapExchange(shards []*shardState, recs []int32, numTables int) ([][]int32, BoundaryStats) {
+// (table, key) to the previous one. Each shard contributes the
+// components and representatives its engine round exported, or — with
+// rebuild set — the ones scratchBuckets rebuilds from its records.
+func mapExchange(shards []*shardState, recs []int32, plan *core.Plan, hf *core.HashFunc, rebuild bool) ([][]int32, BoundaryStats) {
 	var b BoundaryStats
 	forest := ppt.NewForest(len(recs))
 	for i := range recs {
@@ -33,17 +35,21 @@ func mapExchange(shards []*shardState, recs []int32, numTables int) ([][]int32, 
 		pos   int32
 		multi bool
 	}
-	maps := make([]map[uint64]ent, numTables)
+	maps := make([]map[uint64]ent, len(hf.Tables))
 	for t := range maps {
 		maps[t] = make(map[uint64]ent)
 	}
 	for _, s := range shards {
-		for _, cl := range s.subs {
+		subs, reps := s.subs, s.reps
+		if rebuild {
+			subs, reps = scratchBuckets(s, plan, hf)
+		}
+		for _, cl := range subs {
 			for _, li := range cl[1:] {
 				union(s.posIdx[cl[0]], s.posIdx[li])
 			}
 		}
-		for _, rp := range s.reps {
+		for _, rp := range reps {
 			gpos := s.posIdx[rp.Rep]
 			prev, held := maps[rp.Table][rp.Key]
 			maps[rp.Table][rp.Key] = ent{pos: gpos, multi: held}
@@ -60,6 +66,57 @@ func mapExchange(shards []*shardState, recs []int32, numTables int) ([][]int32, 
 		}
 	}
 	return core.CollectClusters(forest, recs), b
+}
+
+// equalReps compares two representative lists element by element (nil
+// and empty are equal).
+func equalReps(a, b []core.BucketRep) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// scratchBuckets rebuilds one shard's round output from its records
+// alone, sharing no bucket state with core.ApplyHashExport: bucket
+// keys folded from lshfamily.HashRange values into one Go map per
+// table, each co-bucket record joined to its bucket's first record as
+// a two-member local component, and that first record as the bucket's
+// representative, in bucket creation order.
+func scratchBuckets(s *shardState, plan *core.Plan, hf *core.HashFunc) ([][]int32, []core.BucketRep) {
+	var subs [][]int32
+	var reps []core.BucketRep
+	first := make([]map[uint64]int32, len(hf.Tables))
+	for t := range first {
+		first[t] = make(map[uint64]int32)
+	}
+	vals := make([][]uint64, len(plan.Hashers))
+	for li, lrec := range s.lrecs {
+		for h, n := range hf.FuncsPerHasher {
+			vals[h] = make([]uint64, n)
+			lshfamily.HashRange(plan.Hashers[h], 0, n, &s.lds.Records[lrec], vals[h])
+		}
+		for t, table := range hf.Tables {
+			key := xhash.CombineInit ^ xhash.SplitMix64(uint64(t)+0x51ed2701)
+			for _, part := range table.Parts {
+				for _, v := range vals[part.Hasher][part.Start : part.Start+part.Count] {
+					key = xhash.Combine(key, v)
+				}
+			}
+			if f, ok := first[t][key]; ok {
+				subs = append(subs, []int32{f, int32(li)})
+				continue
+			}
+			first[t][key] = int32(li)
+			reps = append(reps, core.BucketRep{Key: key, Table: int32(t), Rep: int32(li)})
+		}
+	}
+	return subs, reps
 }
 
 // bucketHasher makes base function fn of a record its fn-th vector
@@ -103,14 +160,18 @@ func firstOwned(n, s, p int) int {
 // shard, and a key shared by shards 0 and 1 whose holder in shard 0
 // disappears when later rounds leave shard 0 (then shard 1) without
 // records: stale tables from the previous round must not leak edges.
+// With maps=true the oracle does not trust the engine's exported
+// buckets at all: it rebuilds every shard's buckets from its records
+// in Go maps (scratchBuckets), and the engine's representatives must
+// equal the rebuilt ones.
 func TestProbeExchangeMatchesMapOracle(t *testing.T) {
 	const tables = 4
 	plan := bucketPlan(tables)
 	hf := plan.Funcs[0]
 	for _, p := range []int{2, 3, 4, 8} {
 		for _, workers := range []int{1, 3} {
-			for _, mapTables := range []bool{false, true} {
-				name := fmt.Sprintf("P=%d/workers=%d/maps=%v", p, workers, mapTables)
+			for _, rebuild := range []bool{false, true} {
+				name := fmt.Sprintf("P=%d/workers=%d/maps=%v", p, workers, rebuild)
 				t.Run(name, func(t *testing.T) {
 					n := 40 * p
 					universe := uint64(n)
@@ -141,7 +202,7 @@ func TestProbeExchangeMatchesMapOracle(t *testing.T) {
 						ds.Add(-1, v)
 					}
 
-					e, err := New(ds, Options{Shards: p, Workers: workers, MapTables: mapTables})
+					e, err := New(ds, Options{Shards: p, Workers: workers})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -165,7 +226,16 @@ func TestProbeExchangeMatchesMapOracle(t *testing.T) {
 							Pairs:  e.boundary.Pairs - before.Pairs,
 							Merges: e.boundary.Merges - before.Merges,
 						}
-						want, wantB := mapExchange(e.shards, recs, tables)
+						want, wantB := mapExchange(e.shards, recs, plan, hf, rebuild)
+						for s, st := range e.shards {
+							if !rebuild {
+								break
+							}
+							if _, reps := scratchBuckets(st, plan, hf); !equalReps(st.reps, reps) {
+								t.Errorf("round %d: shard %d exported bucket representatives differ from the map rebuild's (%d vs %d)",
+									round, s, len(st.reps), len(reps))
+							}
+						}
 						if gotB != wantB {
 							t.Errorf("round %d: probe exchange %+v, map oracle %+v", round, gotB, wantB)
 						}

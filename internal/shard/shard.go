@@ -82,12 +82,6 @@ type Options struct {
 	// PairwiseMinPairs follows core.Options.PairwiseMinPairs.
 	PairwiseMinPairs int64
 
-	// CacheLayout selects the per-shard signature caches' layout;
-	// MapTables selects the legacy Go-map bucket tables inside each
-	// shard's hashing scans (core.Options.HashMapTables semantics).
-	CacheLayout core.CacheLayout
-	MapTables   bool
-
 	// MemSample and Obs follow core.Options semantics. Each hashing
 	// round reports one StageHash span for the whole round plus one
 	// StageShard span per participating shard; the reconcile pass's
@@ -292,7 +286,7 @@ func (e *Engine) ensureCaches(plan *core.Plan) {
 	fresh := e.descs == nil || !reflect.DeepEqual(e.descs, plan.HasherDescs)
 	for _, s := range e.shards {
 		if fresh || s.cache == nil {
-			s.cache = core.NewCacheLayout(s.lds, len(plan.Hashers), e.opts.CacheLayout)
+			s.cache = core.NewCache(s.lds, len(plan.Hashers))
 		} else {
 			s.cache.Grow(s.lds.Len())
 		}
@@ -545,7 +539,6 @@ func (e *Engine) shardedRound(recs []int32, plan *core.Plan, hf *core.HashFunc, 
 	// here because reconciliation below walks shards in index order.
 	parStart := time.Now()
 	var wg sync.WaitGroup
-	hopts := core.HashOptions{MapTables: e.opts.MapTables}
 	for _, s := range e.shards {
 		if len(s.lrecs) == 0 {
 			continue
@@ -556,10 +549,8 @@ func (e *Engine) shardedRound(recs []int32, plan *core.Plan, hf *core.HashFunc, 
 			defer wg.Done()
 			t0 := time.Now()
 			s.reps = s.reps[:0]
-			o := hopts
-			o.Pool = s.pool
 			prevColl, prevMerges := s.hst.Collisions, s.hst.Merges
-			s.subs, s.reps, s.tables = core.ApplyHashExport(s.lds, plan, hf, s.cache, s.lrecs, s.reps, o, &s.hst)
+			s.subs, s.reps, s.tables = core.ApplyHashExport(s.lds, plan, hf, s.cache, s.lrecs, s.reps, s.pool, &s.hst)
 			s.busy = time.Since(t0)
 			s.roundColl = s.hst.Collisions - prevColl
 			s.roundMerges = s.hst.Merges - prevMerges

@@ -315,8 +315,8 @@ func encodeMeta(w *writer, st *core.StreamState, ruleSpec string) {
 	w.i64(int64(st.QueryKhat))
 	w.i64(int64(st.QueryProbes))
 	w.i64(int64(st.QueryRefresh))
-	w.u8(uint8(st.Layout))
-	w.bool(st.MapTables)
+	w.u8(0)       // v1 filler: the retired cache-layout byte (see skipLayout)
+	w.bool(false) // v1 filler: the retired map-tables flag
 	w.bool(st.Plan != nil)
 	w.bool(st.Cache != nil)
 }
@@ -358,7 +358,7 @@ func encodeDataset(w *writer, ds *record.Dataset) {
 }
 
 func encodeCache(w *writer, st *core.CacheState) {
-	w.u8(uint8(st.Layout))
+	w.u8(0) // v1 filler: the retired cache-layout byte (see skipLayout)
 	w.u32(uint32(len(st.Evals)))
 	for _, e := range st.Evals {
 		w.i64(e)
@@ -695,15 +695,12 @@ func decodeMeta(r *reader, st *core.StreamState) (hasPlan, hasCache bool, err er
 		return false, false, err
 	}
 	st.QueryRefresh = int(v)
-	layout, err := r.u8()
-	if err != nil {
+	// v1 filler: the retired cache-layout byte and map-tables flag,
+	// validated and ignored.
+	if err := skipLayout(r); err != nil {
 		return false, false, err
 	}
-	if layout > uint8(core.CacheSlices) {
-		return false, false, fmt.Errorf("snapio: unknown cache layout %d", layout)
-	}
-	st.Layout = core.CacheLayout(layout)
-	if st.MapTables, err = r.bool(); err != nil {
+	if _, err := r.bool(); err != nil {
 		return false, false, err
 	}
 	if hasPlan, err = r.bool(); err != nil {
@@ -832,23 +829,34 @@ func decodePlan(r *reader, st *core.StreamState, length uint64) error {
 	return nil
 }
 
-func decodeCache(r *reader, st *core.StreamState) error {
+// skipLayout reads one v1 filler byte that once selected the signature
+// cache's layout (0 arena, 1 the deleted per-record slices).
+// Checkpoints written under either layout restore onto the arena
+// cache, so both values are accepted and ignored; anything else is a
+// corrupt snapshot.
+func skipLayout(r *reader) error {
 	layout, err := r.u8()
 	if err != nil {
 		return err
 	}
-	if layout > uint8(core.CacheSlices) {
+	if layout > 1 {
 		return fmt.Errorf("snapio: unknown cache layout %d", layout)
+	}
+	return nil
+}
+
+func decodeCache(r *reader, st *core.StreamState) error {
+	if err := skipLayout(r); err != nil {
+		return err
 	}
 	numHashers, err := r.count(32, maxSaneHashers, "hasher")
 	if err != nil {
 		return err
 	}
 	cs := &core.CacheState{
-		Layout: core.CacheLayout(layout),
-		Evals:  make([]int64, numHashers),
-		Lens:   make([][]int32, numHashers),
-		Vals:   make([][]uint64, numHashers),
+		Evals: make([]int64, numHashers),
+		Lens:  make([][]int32, numHashers),
+		Vals:  make([][]uint64, numHashers),
 	}
 	for h := range cs.Evals {
 		if cs.Evals[h], err = r.i64(); err != nil {

@@ -102,7 +102,6 @@ func goldenState(t testing.TB) *core.StreamState {
 		Dataset: ds,
 		Plan:    plan,
 		Cache: &core.CacheState{
-			Layout: core.CacheArena,
 			Lens:   [][]int32{{20, 20, 5}},
 			Vals:   [][]uint64{vals},
 			Evals:  []int64{45},
@@ -111,7 +110,6 @@ func goldenState(t testing.TB) *core.StreamState {
 		},
 		PlannedAt: 3, Replans: 1, ReplanGrowth: 2.5,
 		QueryK: 2, QueryKhat: 3, QueryProbes: 2, QueryRefresh: -1,
-		Layout: core.CacheArena, MapTables: false,
 	}
 }
 
@@ -203,30 +201,35 @@ func TestSnapshotCanonical(t *testing.T) {
 	}
 }
 
-// TestSnapshotLayoutMatrix round-trips every memory-layout combination
-// and checks the continued runs stay byte-identical to the originals.
+// TestSnapshotLayoutMatrix round-trips snapshots as written under
+// either memory layout — arena+oa (layout bytes 0) and the retired
+// legacy slice-cache/map-table layout (layout bytes 1, as sessions on
+// it wrote them) — at serial and parallel worker counts, and checks
+// the continued runs stay byte-identical to the originals.
 func TestSnapshotLayoutMatrix(t *testing.T) {
 	for _, tc := range []struct {
-		name      string
-		layout    core.CacheLayout
-		mapTables bool
-		workers   int
+		name    string
+		legacy  bool
+		workers int
 	}{
-		{"arena+oa/serial", core.CacheArena, false, 1},
-		{"legacy/serial", core.CacheSlices, true, 1},
-		{"arena+oa/parallel", core.CacheArena, false, 4},
-		{"legacy/parallel", core.CacheSlices, true, 4},
+		{"arena+oa/serial", false, 1},
+		{"legacy/serial", true, 1},
+		{"arena+oa/parallel", false, 4},
+		{"legacy/parallel", true, 4},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := core.NewStream(jacRule(), core.SequenceConfig{Seed: 11, Levels: 4})
-			s.SetMemLayout(tc.layout, tc.mapTables)
 			s.SetWorkers(tc.workers, 0)
 			s.SetHashMinParallel(1)
 			addEntities(s, xhash.NewRNG(11), 16, 4, 12)
 			if _, err := s.TopK(3); err != nil {
 				t.Fatal(err)
 			}
-			r, err := snapio.Restore(bytes.NewReader(snapshotBytes(t, s)))
+			blob := snapshotBytes(t, s)
+			if tc.legacy {
+				blob = withLayoutBytes(t, blob, 1)
+			}
+			r, err := snapio.Restore(bytes.NewReader(blob))
 			if err != nil {
 				t.Fatal(err)
 			}
