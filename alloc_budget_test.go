@@ -20,6 +20,11 @@ const (
 	parallelHashAllocBudget = 256
 	shardedHashAllocBudget  = 160
 	cacheFillAllocBudget    = 192
+	// queryAllocBudget gates one point lookup at probes 2 on a SpotSigs
+	// capture: 4 allocs/op with the kernel prepared at capture and
+	// pooled scratch, 56 when every lookup prepared its own kernel and
+	// collected candidates in maps.
+	queryAllocBudget = 32
 )
 
 // TestAllocBudgetHashHotLoop is the allocation-bitrot gate for the
@@ -114,4 +119,40 @@ func TestAllocBudgetHashHotLoop(t *testing.T) {
 		}
 	})
 	check("arena cache fill", res.AllocsPerOp(), cacheFillAllocBudget)
+}
+
+// TestAllocBudgetQuery is the allocation-bitrot gate for point lookups:
+// a lookup may allocate its result and its probe's kernel form, not
+// per-candidate or per-table scratch. Opt-in like
+// TestAllocBudgetHashHotLoop.
+func TestAllocBudgetQuery(t *testing.T) {
+	if os.Getenv("RUN_ALLOC_BUDGET") == "" {
+		t.Skip("set RUN_ALLOC_BUDGET=1 to run the allocation-budget gate")
+	}
+	p := provider()
+	bench := p.SpotSigs(1, 0.4)
+	plan, err := p.Plan(bench, core.SequenceConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix := &core.QueryIndex{}
+	if _, err := core.Filter(bench.Dataset, plan, core.Options{K: 10, Capture: ix}); err != nil {
+		t.Fatal(err)
+	}
+	res := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := ix.Query(&bench.Dataset.Records[i%bench.Dataset.Len()], 3, core.QueryOptions{Probes: 2}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	if got := res.AllocsPerOp(); got > queryAllocBudget {
+		t.Errorf("point lookup: %d allocs/op exceeds the checked-in budget of %d — "+
+			"lookups regressed toward per-call kernels or scratch (see DESIGN.md, "+
+			"online queries); if the growth is intentional, re-measure and raise "+
+			"the budget in alloc_budget_test.go", got, queryAllocBudget)
+	} else {
+		t.Logf("point lookup: %d allocs/op (budget %d)", got, queryAllocBudget)
+	}
 }

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
+	"sync"
 
 	"github.com/topk-er/adalsh/internal/distance"
 	"github.com/topk-er/adalsh/internal/lshfamily"
@@ -18,12 +20,13 @@ import (
 // Algorithm 1 loop. The index retains round 1's bucket tables — H_1 is
 // the only round that hashes the *whole* dataset, so its buckets are
 // the one place where every record is reachable — plus the cluster
-// assignment the run emitted. A query hashes the probe record under
-// H_1, looks up a small multi-probe key sequence per table, verifies
-// the bucket candidates with a prepared match kernel, and ranks the
-// candidates' clusters. The filter loop is never re-entered: a query
-// reports a StageQuery span and query counters, never StageHash or
-// StagePairwise spans.
+// assignment the run emitted and the rule's match kernel prepared over
+// every record. A query hashes the probe record under H_1, looks up a
+// small multi-probe key sequence per table, verifies the bucket
+// candidates with the kernel's probe form, and ranks the candidates'
+// clusters. The filter loop is never re-entered: a query reports a
+// StageQuery span and query counters, never StageHash or StagePairwise
+// spans.
 
 // DefaultQueryProbes is the per-table probe-key count used when
 // QueryOptions.Probes is zero: the exact bucket plus one perturbed key
@@ -99,22 +102,32 @@ func (c *BucketCapture) begin(numTables, numRecs int) {
 // Stream manages one automatically (see Stream.Query).
 //
 // A built index is safe for concurrent Query calls — queries only read
-// the index and allocate per-call scratch — as long as no filtering
-// run is concurrently rebuilding it and the underlying dataset is not
-// concurrently mutated.
+// the index, and each takes its scratch buffers from the index's pool
+// — as long as no filtering run is concurrently rebuilding it and the
+// underlying dataset is not concurrently mutated.
 type QueryIndex struct {
 	plan *Plan
 	ds   *record.Dataset
 	hf   *HashFunc
-	recs []int32 // local bucket index li -> dataset record ID
+	// recs maps local bucket index li to dataset record ID. Round 1
+	// hashes every record in ID order, so li == recs[li] and sorting
+	// local indices sorts record IDs.
+	recs []int32
 
 	buckets BucketCapture
+	// kernel is the rule's match kernel over recs, prepared once when
+	// the capture finishes: a lookup prepares only its probe record.
+	kernel distance.PreparedRule
 
 	// clusterOf[rec] is the emission ordinal of the cluster holding
 	// dataset record rec (0 = largest emitted first), or -1 when the
 	// run never emitted the record.
 	clusterOf []int32
 	clusters  []Cluster
+
+	// scratch pools *queryScratch values, so a lookup allocates little
+	// beyond its result.
+	scratch sync.Pool
 
 	built bool
 }
@@ -134,6 +147,7 @@ func (ix *QueryIndex) Release(pool *HashPool) {
 		return
 	}
 	ix.buckets.Release(pool)
+	ix.kernel = nil
 	ix.built = false
 }
 
@@ -163,8 +177,12 @@ func (ix *QueryIndex) registerCluster(c Cluster) {
 	}
 }
 
-// finish marks the capture complete.
-func (ix *QueryIndex) finish() { ix.built = true }
+// finish prepares the rule's kernel over the captured records and
+// marks the capture complete.
+func (ix *QueryIndex) finish() {
+	ix.kernel = distance.Prepare(ix.ds, ix.plan.Rule, ix.recs)
+	ix.built = true
+}
 
 // QueryOptions controls one point query.
 type QueryOptions struct {
@@ -219,10 +237,96 @@ type QueryResult struct {
 	Unclustered int
 }
 
+// flipPos is one perturbable base-function position of a table, with
+// the penalty of substituting its runner-up value.
+type flipPos struct {
+	hasher, fn int
+	penalty    float64
+}
+
+// clusterTally counts one cluster's candidates during a lookup.
+type clusterTally struct{ matched, candidates int32 }
+
+// queryScratch holds one lookup's working buffers. Query takes it from
+// the index's pool and returns it clean: the tallies zeroed, the
+// visited set emptied by the next epoch.
+type queryScratch struct {
+	vals  [][]uint64             // per hasher: the probe's base hash values
+	alts  [][]lshfamily.ProbeAlt // per hasher: their runner-up alternatives
+	flips []flipPos
+	// visited[li] == epoch marks local index li as a candidate of the
+	// current lookup; bumping epoch empties the set in O(1).
+	visited []uint32
+	epoch   uint32
+	cands   []int32 // the lookup's candidates, as local indices
+	matched []int32 // the matched candidates' record IDs
+	// tally[ord] counts cluster ord's candidates; touched lists the
+	// ordinals with a non-zero tally, in first-touch order.
+	tally   []clusterTally
+	touched []int32
+	matches []QueryMatch
+}
+
+// getScratch takes a scratch from the pool and sizes it to this build
+// of the index.
+func (ix *QueryIndex) getScratch() *queryScratch {
+	sc, _ := ix.scratch.Get().(*queryScratch)
+	if sc == nil {
+		sc = &queryScratch{}
+	}
+	if len(sc.visited) < len(ix.recs) {
+		sc.visited, sc.epoch = make([]uint32, len(ix.recs)), 0
+	}
+	sc.epoch++
+	if sc.epoch == 0 {
+		// Wrapped: stale stamps could equal the new epoch.
+		clear(sc.visited)
+		sc.epoch = 1
+	}
+	if len(sc.tally) < len(ix.clusters) {
+		sc.tally = make([]clusterTally, len(ix.clusters))
+	}
+	n := len(ix.plan.Hashers)
+	if len(sc.vals) < n {
+		sc.vals, sc.alts = make([][]uint64, n), make([][]lshfamily.ProbeAlt, n)
+	}
+	for h, fns := range ix.hf.FuncsPerHasher {
+		if cap(sc.vals[h]) < fns {
+			sc.vals[h], sc.alts[h] = make([]uint64, fns), make([]lshfamily.ProbeAlt, fns)
+		}
+		sc.vals[h], sc.alts[h] = sc.vals[h][:fns], sc.alts[h][:fns]
+	}
+	sc.cands, sc.matched, sc.touched = sc.cands[:0], sc.matched[:0], sc.touched[:0]
+	return sc
+}
+
+// compareFlips orders perturbations by ascending penalty, then hasher,
+// then function.
+func compareFlips(a, b flipPos) int {
+	if c := cmp.Compare(a.penalty, b.penalty); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.hasher, b.hasher); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.fn, b.fn)
+}
+
+// compareMatches ranks clusters as QueryResult.Matches documents.
+func compareMatches(a, b QueryMatch) int {
+	if c := cmp.Compare(b.Matched, a.Matched); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(b.Candidates, a.Candidates); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Cluster, b.Cluster)
+}
+
 // Query answers one point lookup: hash the probe record under H_1,
 // probe each table's multi-probe key sequence, verify the bucket
-// candidates against the rule with a prepared match kernel, and rank
-// the candidates' clusters. Returns at most m clusters. The global
+// candidates against the rule with the index's prepared kernel, and
+// rank the candidates' clusters. Returns at most m clusters. The global
 // filtering loop is never invoked.
 func (ix *QueryIndex) Query(q *record.Record, m int, opts QueryOptions) (*QueryResult, error) {
 	if !ix.Built() {
@@ -242,18 +346,16 @@ func (ix *QueryIndex) Query(q *record.Record, m int, opts QueryOptions) (*QueryR
 		return nil, err
 	}
 	qt := obs.StartStage(opts.Obs, obs.StageQuery)
+	sc := ix.getScratch()
 
 	// Base hash values and runner-up alternatives of every base
 	// function H_1 uses, per hasher.
 	hf := ix.hf
-	vals := make([][]uint64, len(ix.plan.Hashers))
-	alts := make([][]lshfamily.ProbeAlt, len(ix.plan.Hashers))
+	vals, alts := sc.vals, sc.alts
 	for h, n := range hf.FuncsPerHasher {
 		if n == 0 {
 			continue
 		}
-		vals[h] = make([]uint64, n)
-		alts[h] = make([]lshfamily.ProbeAlt, n)
 		lshfamily.HashRange(ix.plan.Hashers[h], 0, n, q, vals[h])
 		lshfamily.ProbeRange(ix.plan.Hashers[h], 0, n, q, alts[h])
 	}
@@ -275,14 +377,6 @@ func (ix *QueryIndex) Query(q *record.Record, m int, opts QueryOptions) (*QueryR
 		return key
 	}
 
-	// flipPos is one perturbable position of the current table.
-	type flipPos struct {
-		hasher, fn int
-		penalty    float64
-	}
-	var flips []flipPos
-	seen := make(map[int32]struct{})
-	var cands []int32
 	probesDone := 0
 	probe := func(t int, key uint64) {
 		probesDone++
@@ -290,16 +384,12 @@ func (ix *QueryIndex) Query(q *record.Record, m int, opts QueryOptions) (*QueryR
 		if !ok {
 			return
 		}
-		for li := head; ; {
-			if _, dup := seen[li]; !dup {
-				seen[li] = struct{}{}
-				cands = append(cands, ix.recs[li])
+		prev := ix.buckets.prev[t]
+		for li := head; li >= 0; li = prev[li] {
+			if sc.visited[li] != sc.epoch {
+				sc.visited[li] = sc.epoch
+				sc.cands = append(sc.cands, li)
 			}
-			p := ix.buckets.prev[t][li]
-			if p < 0 {
-				break
-			}
-			li = p
 		}
 	}
 	for t := range hf.Tables {
@@ -308,7 +398,7 @@ func (ix *QueryIndex) Query(q *record.Record, m int, opts QueryOptions) (*QueryR
 			continue
 		}
 		// Perturbed keys: single flips in ascending penalty order.
-		flips = flips[:0]
+		flips := sc.flips[:0]
 		for _, part := range hf.Tables[t].Parts {
 			for fn := part.Start; fn < part.Start+part.Count; fn++ {
 				if a := alts[part.Hasher][fn]; !math.IsInf(a.Penalty, 1) {
@@ -316,15 +406,8 @@ func (ix *QueryIndex) Query(q *record.Record, m int, opts QueryOptions) (*QueryR
 				}
 			}
 		}
-		sort.Slice(flips, func(i, j int) bool {
-			if flips[i].penalty != flips[j].penalty {
-				return flips[i].penalty < flips[j].penalty
-			}
-			if flips[i].hasher != flips[j].hasher {
-				return flips[i].hasher < flips[j].hasher
-			}
-			return flips[i].fn < flips[j].fn
-		})
+		slices.SortFunc(flips, compareFlips)
+		sc.flips = flips
 		if len(flips) > probes-1 {
 			flips = flips[:probes-1]
 		}
@@ -332,30 +415,21 @@ func (ix *QueryIndex) Query(q *record.Record, m int, opts QueryOptions) (*QueryR
 			probe(t, keyFor(t, f.hasher, f.fn))
 		}
 	}
-	sort.Slice(cands, func(i, j int) bool { return cands[i] < cands[j] })
+	slices.Sort(sc.cands)
 
-	// Verify every candidate against the probe record with a prepared
-	// kernel over a scratch dataset {probe, candidates...} — decisions
-	// identical to Rule.Match, at kernel cost.
-	res := &QueryResult{Probes: probesDone, Candidates: cands}
-	type agg struct{ matched, candidates int }
-	perCluster := make(map[int32]*agg)
-	if len(cands) > 0 {
-		scratch := &record.Dataset{Name: "query-verify"}
-		scratch.Records = make([]record.Record, 0, len(cands)+1)
-		scratch.Records = append(scratch.Records, record.Record{ID: 0, Fields: q.Fields})
-		for i, rc := range cands {
-			scratch.Records = append(scratch.Records, record.Record{ID: i + 1, Fields: ix.ds.Records[rc].Fields})
-		}
-		idx := make([]int32, len(scratch.Records))
-		for i := range idx {
-			idx[i] = int32(i)
-		}
-		prep := distance.Prepare(scratch, ix.plan.Rule, idx)
-		for j, rc := range cands {
-			matched := prep.MatchIdx(0, j+1)
+	// Verify every candidate against the probe record with the kernel's
+	// probe form — decisions identical to Rule.Match, at kernel cost —
+	// and tally the candidates' clusters.
+	res := &QueryResult{Probes: probesDone}
+	if len(sc.cands) > 0 {
+		res.Candidates = make([]int32, len(sc.cands))
+		match := ix.kernel.Probe(q)
+		for i, li := range sc.cands {
+			rc := ix.recs[li]
+			res.Candidates[i] = rc
+			matched := match(int(li))
 			if matched {
-				res.MatchedRecords = append(res.MatchedRecords, rc)
+				sc.matched = append(sc.matched, rc)
 			}
 			ord := ix.clusterOf[rc]
 			if ord < 0 {
@@ -364,45 +438,43 @@ func (ix *QueryIndex) Query(q *record.Record, m int, opts QueryOptions) (*QueryR
 				}
 				continue
 			}
-			a := perCluster[ord]
-			if a == nil {
-				a = &agg{}
-				perCluster[ord] = a
+			tl := &sc.tally[ord]
+			if tl.candidates == 0 {
+				sc.touched = append(sc.touched, ord)
 			}
-			a.candidates++
+			tl.candidates++
 			if matched {
-				a.matched++
+				tl.matched++
 			}
 		}
 	}
-	for ord, a := range perCluster {
-		if a.matched == 0 {
+	if len(sc.matched) > 0 {
+		res.MatchedRecords = slices.Clone(sc.matched)
+	}
+	matches := sc.matches[:0]
+	for _, ord := range sc.touched {
+		tl := sc.tally[ord]
+		sc.tally[ord] = clusterTally{}
+		if tl.matched == 0 {
 			// Bucket collisions the rule rejected: not a match.
 			continue
 		}
-		c := &ix.clusters[ord]
-		res.Matches = append(res.Matches, QueryMatch{
-			Cluster: int(ord), Records: c.Records,
-			Matched: a.matched, Candidates: a.candidates,
+		matches = append(matches, QueryMatch{
+			Cluster: int(ord), Records: ix.clusters[ord].Records,
+			Matched: int(tl.matched), Candidates: int(tl.candidates),
 		})
 	}
-	sort.Slice(res.Matches, func(i, j int) bool {
-		a, b := &res.Matches[i], &res.Matches[j]
-		if a.Matched != b.Matched {
-			return a.Matched > b.Matched
-		}
-		if a.Candidates != b.Candidates {
-			return a.Candidates > b.Candidates
-		}
-		return a.Cluster < b.Cluster
-	})
-	if len(res.Matches) > m {
-		res.Matches = res.Matches[:m]
+	if len(matches) > 0 {
+		slices.SortFunc(matches, compareMatches)
+		res.Matches = slices.Clone(matches[:min(m, len(matches))])
+		clear(matches) // drop the cluster views until the next lookup
 	}
+	sc.matches = matches[:0]
+	ix.scratch.Put(sc)
 
 	obs.Count(opts.Obs, obs.CtrQueryProbes, int64(probesDone))
-	obs.Count(opts.Obs, obs.CtrQueryCandidates, int64(len(cands)))
-	qt.Items = len(cands)
+	obs.Count(opts.Obs, obs.CtrQueryCandidates, int64(len(res.Candidates)))
+	qt.Items = len(res.Candidates)
 	qt.End()
 	return res, nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -391,6 +392,47 @@ func TestStreamQueryConcurrent(t *testing.T) {
 		}
 		wg.Wait()
 	}
+}
+
+// TestQueryIndexConcurrent: lookups share the index's prepared kernel
+// and its pool of scratch buffers. Several goroutines query one index
+// over every record, each in its own order, and every answer must equal
+// the serial answer — so no lookup sees another's candidates, tallies
+// or visited marks, and no result aliases a pooled buffer. Run it under
+// -race.
+func TestQueryIndexConcurrent(t *testing.T) {
+	ds := clusteredSetDataset(t, []int{30, 20, 12, 6, 3}, 37)
+	plan, err := core.DesignPlan(ds, jaccardRule(), core.SequenceConfig{Seed: 9})
+	if err != nil {
+		t.Fatalf("DesignPlan: %v", err)
+	}
+	_, ix := captureFilter(t, ds, plan, core.Options{K: 3})
+	opts := core.QueryOptions{Probes: 2}
+	want := make([]*core.QueryResult, ds.Len())
+	for rec := range want {
+		if want[rec], err = ix.Query(&ds.Records[rec], 2, opts); err != nil {
+			t.Fatalf("Query(%d): %v", rec, err)
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(order []int) {
+			defer wg.Done()
+			for _, rec := range order {
+				got, err := ix.Query(&ds.Records[rec], 2, opts)
+				if err != nil {
+					t.Errorf("concurrent Query(%d): %v", rec, err)
+					return
+				}
+				if !reflect.DeepEqual(got, want[rec]) {
+					t.Errorf("concurrent Query(%d) = %+v, serial %+v", rec, got, want[rec])
+					return
+				}
+			}
+		}(xhash.NewRNG(uint64(g)).Perm(ds.Len()))
+	}
+	wg.Wait()
 }
 
 // TestQueryValidation: the new entry points reject invalid arguments

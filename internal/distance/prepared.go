@@ -17,9 +17,10 @@ import (
 //   - Cosine: each record's squared norm (accumulated in exactly the
 //     order CosineVec uses, so the value is bit-identical) and its
 //     inverse square root are computed once at prepare time. A pair
-//     then costs one dot product: the angular test d <= thr is
-//     answered as dot*invNa*invNb >= cos(pi*thr) with a guard band,
-//     falling back to the exact sqrt/acos arithmetic of CosineVec only
+//     then costs one dot product, summed in four independent
+//     accumulators: the angular test d <= thr is answered as
+//     dot*invNa*invNb >= cos(pi*thr) with a guard band, falling back to
+//     CosineVec's sequential dot and exact sqrt/acos arithmetic only
 //     inside the band (see cosineGuard).
 //   - Jaccard: d <= thr is rewritten as an integer bound on the
 //     intersection size. The bound doubles as a set-size-ratio
@@ -45,6 +46,11 @@ import (
 // integer intersection/bit counts) the transformed bound is resolved
 // against the naive float predicate itself — by probing or
 // bit-level binary search — never against real-valued algebra alone.
+//
+// Every kernel also has a probe form (PreparedRule.Probe) for a record
+// outside the prepared slice, as point lookups need: the probe's
+// invariants are computed once, and each pair then runs the same
+// per-pair function MatchIdx runs, with the probe as the left operand.
 
 // PreparedStats counts the cheap decisions a prepared kernel made. The
 // counts are deterministic per evaluated pair, so serial and parallel
@@ -61,12 +67,19 @@ type PreparedStats struct {
 }
 
 // PreparedRule is a match kernel specialized to a fixed record slice.
-// MatchIdx is safe for concurrent use (the parallel pairwise wave
-// workers share one kernel); the stats counters are atomic.
+// MatchIdx, Probe and the probe forms are safe for concurrent use (the
+// parallel pairwise wave workers and concurrent point lookups share one
+// kernel); the stats counters are atomic.
 type PreparedRule interface {
 	// MatchIdx reports whether the records at local indices i and j
 	// match — exactly the decision Rule.Match makes on the same pair.
 	MatchIdx(i, j int) bool
+	// Probe returns the kernel's probe form for q, a record that need
+	// not belong to the prepared slice: match(j) reports exactly
+	// Rule.Match(q, &ds.Records[recs[j]]), with q the left operand.
+	// q's invariants (norms, popcounts, budgets) are computed here,
+	// once; q must have the prepared records' field layout.
+	Probe(q *record.Record) (match func(j int) bool)
 	// Stats snapshots the kernel-effectiveness counters.
 	Stats() PreparedStats
 }
@@ -140,27 +153,36 @@ func (k naiveKernel) MatchIdx(i, j int) bool {
 	return k.rule.Match(&k.ds.Records[k.recs[i]], &k.ds.Records[k.recs[j]])
 }
 
+func (k naiveKernel) Probe(q *record.Record) func(int) bool {
+	return func(j int) bool { return k.rule.Match(q, &k.ds.Records[k.recs[j]]) }
+}
+
 func (k naiveKernel) Stats() PreparedStats { return k.ctr.stats() }
 
 // ---------------------------------------------------------------------------
 // Cosine
 
 // cosineGuard is the half-width of the exact-arithmetic band around
-// cos(pi*thr). The fast path compares dot*invNa*invNb; its deviation
-// from the naive dot/sqrt(na*nb) is bounded by ~(dim+8) ulps of a
-// value <= 1 (Cauchy–Schwarz bounds the accumulated dot-product error
-// relative to the norms), and the cos-vs-acos threshold transformation
-// adds a few ulps more — far below 1e-8 for any dimension under ~2^25.
-// Inside the band the kernel re-derives the decision with the naive
-// formula on the precomputed (bit-identical) squared norms, so the
-// decision is exact even at the boundary.
+// cos(pi*thr). The fast path compares dot4(a, b)*invNa*invNb, whose dot
+// product sums in four independent accumulators. Recursive summation of
+// dim products errs by at most ~dim ulps of sum|a_i*b_i|, which
+// Cauchy–Schwarz bounds by |a||b|; so after normalization the reordered
+// sum differs from CosineVec's sequential one by at most about 2*dim
+// ulps of a value <= 1, and the fast value from the naive
+// dot/sqrt(na*nb) by ~(3*dim+8) ulps once the sequential sum's own
+// error, the inverse roots and the cos-vs-acos threshold transformation
+// are counted — far below 1e-8 for any dimension under ~2^23. Inside
+// the band the kernel recomputes the sequential dot and re-derives the
+// decision with the naive formula on the precomputed (bit-identical)
+// squared norms, so the decision is exact even at the boundary.
 const cosineGuard = 1e-8
 
 type cosineKernel struct {
-	vecs []record.Vector
-	norm []float64 // squared norms, accumulated exactly as CosineVec does
-	inv  []float64 // 1/sqrt(norm); 0 for zero vectors
-	thr  float64
+	field int
+	vecs  []record.Vector
+	norm  []float64 // squared norms, accumulated exactly as CosineVec does
+	inv   []float64 // invRoot(norm)
+	thr   float64
 	// cosLo/cosHi bracket cos(pi*thr): fast-accept above cosHi,
 	// fast-reject below cosLo, exact fallback in between.
 	cosLo, cosHi  float64
@@ -171,23 +193,18 @@ type cosineKernel struct {
 
 func prepareCosine(ds *record.Dataset, r Threshold, recs []int32, ctr *kernelCounters) PreparedRule {
 	k := &cosineKernel{
-		vecs: make([]record.Vector, len(recs)),
-		norm: make([]float64, len(recs)),
-		inv:  make([]float64, len(recs)),
-		thr:  r.MaxDistance,
-		ctr:  ctr,
+		field: r.Field,
+		vecs:  make([]record.Vector, len(recs)),
+		norm:  make([]float64, len(recs)),
+		inv:   make([]float64, len(recs)),
+		thr:   r.MaxDistance,
+		ctr:   ctr,
 	}
 	for x, id := range recs {
 		v := ds.Records[id].Fields[r.Field].(record.Vector)
 		k.vecs[x] = v
-		var n float64
-		for i := range v {
-			n += v[i] * v[i]
-		}
-		k.norm[x] = n
-		if n != 0 {
-			k.inv[x] = 1 / math.Sqrt(n)
-		}
+		k.norm[x] = sqNorm(v)
+		k.inv[x] = invRoot(k.norm[x])
 	}
 	k.zeroOK = 0 <= r.MaxDistance
 	k.oneOK = 1 <= r.MaxDistance
@@ -200,12 +217,74 @@ func prepareCosine(ds *record.Dataset, r Threshold, recs []int32, ctr *kernelCou
 	return k
 }
 
+// sqNorm accumulates v.v in CosineVec's order, so the value is
+// bit-identical to CosineVec's squared norm.
+func sqNorm(v record.Vector) float64 {
+	var n float64
+	for i := range v {
+		n += v[i] * v[i]
+	}
+	return n
+}
+
+// invRoot is 1/sqrt(n), or 0 for a zero vector's norm.
+func invRoot(n float64) float64 {
+	if n == 0 {
+		return 0
+	}
+	return 1 / math.Sqrt(n)
+}
+
+// dotSeq is the dot product summed in CosineVec's order.
+func dotSeq(a, b record.Vector) float64 {
+	var dot float64
+	for x := range a {
+		dot += a[x] * b[x]
+	}
+	return dot
+}
+
+// dot4 is the dot product of equal-length vectors summed in four
+// independent accumulators, so consecutive adds do not wait on each
+// other. Its rounding differs from dotSeq's (see cosineGuard).
+func dot4(a, b record.Vector) float64 {
+	var s0, s1, s2, s3 float64
+	for len(a) >= 4 && len(b) >= 4 {
+		s0 += a[0] * b[0]
+		s1 += a[1] * b[1]
+		s2 += a[2] * b[2]
+		s3 += a[3] * b[3]
+		a, b = a[4:], b[4:]
+	}
+	for x := range a {
+		s0 += a[x] * b[x]
+	}
+	return (s0 + s1) + (s2 + s3)
+}
+
 func (k *cosineKernel) MatchIdx(i, j int) bool {
+	return k.match(k.vecs[i], k.norm[i], k.inv[i], j)
+}
+
+func (k *cosineKernel) Probe(q *record.Record) func(int) bool {
+	v := q.Fields[k.field].(record.Vector)
+	n := sqNorm(v)
+	inv := invRoot(n)
+	return func(j int) bool { return k.match(v, n, inv, j) }
+}
+
+// match decides the pair (va, record j) given va's squared norm na and
+// inverse root invA.
+func (k *cosineKernel) match(va record.Vector, na, invA float64, j int) bool {
 	if k.never || k.always {
 		atomic.AddInt64(&k.ctr.prefilter, 1)
 		return k.always
 	}
-	na, nb := k.norm[i], k.norm[j]
+	vb, nb := k.vecs[j], k.norm[j]
+	if len(va) != len(vb) {
+		// Mirror the naive panic exactly.
+		CosineVec(va, vb)
+	}
 	if na == 0 || nb == 0 {
 		// Zero-vector prefilter: CosineVec returns 0 (both zero) or 1.
 		atomic.AddInt64(&k.ctr.prefilter, 1)
@@ -214,20 +293,16 @@ func (k *cosineKernel) MatchIdx(i, j int) bool {
 		}
 		return k.oneOK
 	}
-	va, vb := k.vecs[i], k.vecs[j]
-	var dot float64
-	for x := range va {
-		dot += va[x] * vb[x]
-	}
-	c := dot * k.inv[i] * k.inv[j]
+	c := dot4(va, vb) * invA * k.inv[j]
 	if c >= k.cosHi {
 		return true
 	}
 	if c <= k.cosLo {
 		return false
 	}
-	// Boundary band: the naive arithmetic, on bit-identical na/nb/dot.
-	cc := dot / math.Sqrt(na*nb)
+	// Boundary band: the naive arithmetic, on the sequential dot and
+	// bit-identical na/nb.
+	cc := dotSeq(va, vb) / math.Sqrt(na*nb)
 	if cc > 1 {
 		cc = 1
 	} else if cc < -1 {
@@ -242,6 +317,7 @@ func (k *cosineKernel) Stats() PreparedStats { return k.ctr.stats() }
 // Jaccard
 
 type jaccardKernel struct {
+	field         int
 	sets          []record.Set
 	thr           float64
 	s             float64 // 1 - thr, the similarity bound
@@ -252,10 +328,11 @@ type jaccardKernel struct {
 
 func prepareJaccard(ds *record.Dataset, r Threshold, recs []int32, ctr *kernelCounters) PreparedRule {
 	k := &jaccardKernel{
-		sets: make([]record.Set, len(recs)),
-		thr:  r.MaxDistance,
-		s:    1 - r.MaxDistance,
-		ctr:  ctr,
+		field: r.Field,
+		sets:  make([]record.Set, len(recs)),
+		thr:   r.MaxDistance,
+		s:     1 - r.MaxDistance,
+		ctr:   ctr,
 	}
 	for x, id := range recs {
 		k.sets[x] = ds.Records[id].Fields[r.Field].(record.Set)
@@ -295,12 +372,20 @@ func (k *jaccardKernel) requiredInter(t, minAB int) int {
 	return need // minAB+1 means unsatisfiable
 }
 
-func (k *jaccardKernel) MatchIdx(i, j int) bool {
+func (k *jaccardKernel) MatchIdx(i, j int) bool { return k.match(k.sets[i], j) }
+
+func (k *jaccardKernel) Probe(q *record.Record) func(int) bool {
+	sa := q.Fields[k.field].(record.Set)
+	return func(j int) bool { return k.match(sa, j) }
+}
+
+// match decides the pair (sa, record j).
+func (k *jaccardKernel) match(sa record.Set, j int) bool {
 	if k.never || k.always {
 		atomic.AddInt64(&k.ctr.prefilter, 1)
 		return k.always
 	}
-	sa, sb := k.sets[i], k.sets[j]
+	sb := k.sets[j]
 	la, lb := len(sa), len(sb)
 	if la == 0 && lb == 0 {
 		atomic.AddInt64(&k.ctr.prefilter, 1)
@@ -356,7 +441,8 @@ func (k *jaccardKernel) Stats() PreparedStats { return k.ctr.stats() }
 // Euclidean
 
 type euclideanKernel struct {
-	vecs []record.Vector
+	field int
+	vecs  []record.Vector
 	// sumMax is the largest squared-distance accumulator value the
 	// naive decision accepts — the float-exact version of
 	// (thr*Scale)^2, resolved by bit-level binary search against the
@@ -370,7 +456,7 @@ func prepareEuclidean(ds *record.Dataset, r Threshold, m Euclidean, recs []int32
 	if m.Scale <= 0 {
 		panic("distance: Euclidean.Scale must be positive")
 	}
-	k := &euclideanKernel{vecs: make([]record.Vector, len(recs)), ctr: ctr}
+	k := &euclideanKernel{field: r.Field, vecs: make([]record.Vector, len(recs)), ctr: ctr}
 	for x, id := range recs {
 		k.vecs[x] = ds.Records[id].Fields[r.Field].(record.Vector)
 	}
@@ -407,12 +493,20 @@ func prepareEuclidean(ds *record.Dataset, r Threshold, m Euclidean, recs []int32
 	return k
 }
 
-func (k *euclideanKernel) MatchIdx(i, j int) bool {
+func (k *euclideanKernel) MatchIdx(i, j int) bool { return k.match(k.vecs[i], j) }
+
+func (k *euclideanKernel) Probe(q *record.Record) func(int) bool {
+	va := q.Fields[k.field].(record.Vector)
+	return func(j int) bool { return k.match(va, j) }
+}
+
+// match decides the pair (va, record j).
+func (k *euclideanKernel) match(va record.Vector, j int) bool {
 	if k.never || k.always {
 		atomic.AddInt64(&k.ctr.prefilter, 1)
 		return k.always
 	}
-	va, vb := k.vecs[i], k.vecs[j]
+	vb := k.vecs[j]
 	if len(va) != len(vb) {
 		panic("distance: euclidean over mismatched dimensions")
 	}
@@ -464,9 +558,7 @@ func prepareHamming(ds *record.Dataset, r Threshold, recs []int32, ctr *kernelCo
 	for x, id := range recs {
 		b := ds.Records[id].Fields[r.Field].(record.Bits)
 		k.bits[x] = b
-		for _, w := range b.Words {
-			k.ones[x] += bits.OnesCount64(w)
-		}
+		k.ones[x] = onesCount(b)
 		bud, ok := budgets[b.Width]
 		if !ok {
 			bud = hammingBudget(b.Width, r.MaxDistance)
@@ -478,6 +570,15 @@ func prepareHamming(ds *record.Dataset, r Threshold, recs []int32, ctr *kernelCo
 	k.never = r.MaxDistance < 0
 	k.always = r.MaxDistance >= 1
 	return k
+}
+
+// onesCount is b's popcount.
+func onesCount(b record.Bits) int {
+	n := 0
+	for _, w := range b.Words {
+		n += bits.OnesCount64(w)
+	}
+	return n
 }
 
 // hammingBudget resolves the largest diff with fl(diff/width) <= thr
@@ -508,11 +609,23 @@ func hammingBudget(width int, thr float64) int {
 }
 
 func (k *hammingKernel) MatchIdx(i, j int) bool {
+	return k.match(k.bits[i], k.ones[i], k.budget[i], j)
+}
+
+func (k *hammingKernel) Probe(q *record.Record) func(int) bool {
+	ba := q.Fields[k.rule.Field].(record.Bits)
+	ones, bud := onesCount(ba), hammingBudget(ba.Width, k.rule.MaxDistance)
+	return func(j int) bool { return k.match(ba, ones, bud, j) }
+}
+
+// match decides the pair (ba, record j) given ba's popcount onesA and
+// bit-difference budget bud.
+func (k *hammingKernel) match(ba record.Bits, onesA, bud, j int) bool {
 	if k.never || k.always {
 		atomic.AddInt64(&k.ctr.prefilter, 1)
 		return k.always
 	}
-	ba, bb := k.bits[i], k.bits[j]
+	bb := k.bits[j]
 	if ba.Width != bb.Width {
 		// Mirror the naive panic exactly.
 		HammingBits(ba, bb)
@@ -521,10 +634,9 @@ func (k *hammingKernel) MatchIdx(i, j int) bool {
 		atomic.AddInt64(&k.ctr.prefilter, 1)
 		return k.zeroOK
 	}
-	bud := k.budget[i]
 	// Popcount prefilter: the XOR popcount is at least the absolute
 	// difference of the per-record popcounts.
-	gap := k.ones[i] - k.ones[j]
+	gap := onesA - k.ones[j]
 	if gap < 0 {
 		gap = -gap
 	}
@@ -566,6 +678,18 @@ func (k andKernel) MatchIdx(i, j int) bool {
 	return true
 }
 
+func (k andKernel) Probe(q *record.Record) func(int) bool {
+	subs := probeAll(k.subs, q)
+	return func(j int) bool {
+		for _, sub := range subs {
+			if !sub(j) {
+				return false
+			}
+		}
+		return true
+	}
+}
+
 func (k andKernel) Stats() PreparedStats { return k.ctr.stats() }
 
 // orKernel short-circuits prepared sub-kernels in rule order, exactly
@@ -584,16 +708,39 @@ func (k orKernel) MatchIdx(i, j int) bool {
 	return false
 }
 
+func (k orKernel) Probe(q *record.Record) func(int) bool {
+	subs := probeAll(k.subs, q)
+	return func(j int) bool {
+		for _, sub := range subs {
+			if sub(j) {
+				return true
+			}
+		}
+		return false
+	}
+}
+
 func (k orKernel) Stats() PreparedStats { return k.ctr.stats() }
+
+// probeAll returns every sub-kernel's probe form for q, in rule order.
+func probeAll(subs []PreparedRule, q *record.Record) []func(int) bool {
+	out := make([]func(int) bool, len(subs))
+	for i, sub := range subs {
+		out[i] = sub.Probe(q)
+	}
+	return out
+}
 
 // ---------------------------------------------------------------------------
 // Weighted average
 
 // preparedDistance computes one field's exact distance — the same
 // float64 the naive Metric.Distance returns — using per-record
-// invariants where they help.
+// invariants where they help. probe is its probe form: dist(j) is the
+// distance from q's field to record j's.
 type preparedDistance interface {
 	distIdx(i, j int) float64
+	probe(q *record.Record) (dist func(j int) float64)
 }
 
 // weightedKernel accumulates the per-field weighted distances in rule
@@ -649,10 +796,25 @@ func prepareWeighted(ds *record.Dataset, r WeightedAverage, recs []int32, ctr *k
 }
 
 func (k *weightedKernel) MatchIdx(i, j int) bool {
+	return k.match(func(idx int) float64 { return k.parts[idx].distIdx(i, j) })
+}
+
+func (k *weightedKernel) Probe(q *record.Record) func(int) bool {
+	dists := make([]func(int) float64, len(k.parts))
+	for idx, part := range k.parts {
+		dists[idx] = part.probe(q)
+	}
+	return func(j int) bool {
+		return k.match(func(idx int) float64 { return dists[idx](j) })
+	}
+}
+
+// match decides one pair, dist(idx) giving its distance in part idx.
+func (k *weightedKernel) match(dist func(idx int) float64) bool {
 	d := 0.0
 	last := len(k.parts) - 1
-	for idx, part := range k.parts {
-		d += k.weights[idx] * part.distIdx(i, j)
+	for idx := range k.parts {
+		d += k.weights[idx] * dist(idx)
 		if k.failFast && d > k.thr {
 			// Remaining terms are non-negative and float addition of
 			// non-negative terms is monotone: the full sum also
@@ -680,46 +842,52 @@ func (p metricDist) distIdx(i, j int) float64 {
 	return p.metric.Distance(p.ds.Records[p.recs[i]].Fields[p.field], p.ds.Records[p.recs[j]].Fields[p.field])
 }
 
+func (p metricDist) probe(q *record.Record) func(int) float64 {
+	f := q.Fields[p.field]
+	return func(j int) float64 { return p.metric.Distance(f, p.ds.Records[p.recs[j]].Fields[p.field]) }
+}
+
 // cosineDist reproduces CosineVec bit-for-bit, with the squared norms
 // (accumulated in CosineVec's order) hoisted to prepare time — the
 // per-pair cost drops from three multiply-add streams to one.
 type cosineDist struct {
-	vecs []record.Vector
-	norm []float64
+	field int
+	vecs  []record.Vector
+	norm  []float64
 }
 
 func prepareCosineDist(ds *record.Dataset, field int, recs []int32) *cosineDist {
-	p := &cosineDist{vecs: make([]record.Vector, len(recs)), norm: make([]float64, len(recs))}
+	p := &cosineDist{field: field, vecs: make([]record.Vector, len(recs)), norm: make([]float64, len(recs))}
 	for x, id := range recs {
 		v := ds.Records[id].Fields[field].(record.Vector)
 		p.vecs[x] = v
-		var n float64
-		for i := range v {
-			n += v[i] * v[i]
-		}
-		p.norm[x] = n
+		p.norm[x] = sqNorm(v)
 	}
 	return p
 }
 
-func (p *cosineDist) distIdx(i, j int) float64 {
-	va, vb := p.vecs[i], p.vecs[j]
+func (p *cosineDist) distIdx(i, j int) float64 { return p.dist(p.vecs[i], p.norm[i], j) }
+
+func (p *cosineDist) probe(q *record.Record) func(int) float64 {
+	va := q.Fields[p.field].(record.Vector)
+	na := sqNorm(va)
+	return func(j int) float64 { return p.dist(va, na, j) }
+}
+
+// dist is CosineVec(va, record j) given va's squared norm na.
+func (p *cosineDist) dist(va record.Vector, na float64, j int) float64 {
+	vb, nb := p.vecs[j], p.norm[j]
 	if len(va) != len(vb) {
 		// Mirror the naive panic exactly.
 		CosineVec(va, vb)
 	}
-	na, nb := p.norm[i], p.norm[j]
 	if na == 0 || nb == 0 {
 		if na == 0 && nb == 0 {
 			return 0
 		}
 		return 1
 	}
-	var dot float64
-	for x := range va {
-		dot += va[x] * vb[x]
-	}
-	c := dot / math.Sqrt(na*nb)
+	c := dotSeq(va, vb) / math.Sqrt(na*nb)
 	if c > 1 {
 		c = 1
 	} else if c < -1 {
@@ -731,11 +899,12 @@ func (p *cosineDist) distIdx(i, j int) float64 {
 // jaccardDist is JaccardSet over prepared set references (the exact
 // value is needed, so no early exit applies).
 type jaccardDist struct {
-	sets []record.Set
+	field int
+	sets  []record.Set
 }
 
 func prepareJaccardDist(ds *record.Dataset, field int, recs []int32) *jaccardDist {
-	p := &jaccardDist{sets: make([]record.Set, len(recs))}
+	p := &jaccardDist{field: field, sets: make([]record.Set, len(recs))}
 	for x, id := range recs {
 		p.sets[x] = ds.Records[id].Fields[field].(record.Set)
 	}
@@ -744,8 +913,14 @@ func prepareJaccardDist(ds *record.Dataset, field int, recs []int32) *jaccardDis
 
 func (p *jaccardDist) distIdx(i, j int) float64 { return JaccardSet(p.sets[i], p.sets[j]) }
 
+func (p *jaccardDist) probe(q *record.Record) func(int) float64 {
+	sa := q.Fields[p.field].(record.Set)
+	return func(j int) float64 { return JaccardSet(sa, p.sets[j]) }
+}
+
 // euclideanDist is Euclidean.Distance over prepared vector references.
 type euclideanDist struct {
+	field int
 	vecs  []record.Vector
 	scale float64
 }
@@ -754,15 +929,23 @@ func prepareEuclideanDist(ds *record.Dataset, field int, m Euclidean, recs []int
 	if m.Scale <= 0 {
 		panic("distance: Euclidean.Scale must be positive")
 	}
-	p := &euclideanDist{vecs: make([]record.Vector, len(recs)), scale: m.Scale}
+	p := &euclideanDist{field: field, vecs: make([]record.Vector, len(recs)), scale: m.Scale}
 	for x, id := range recs {
 		p.vecs[x] = ds.Records[id].Fields[field].(record.Vector)
 	}
 	return p
 }
 
-func (p *euclideanDist) distIdx(i, j int) float64 {
-	va, vb := p.vecs[i], p.vecs[j]
+func (p *euclideanDist) distIdx(i, j int) float64 { return p.dist(p.vecs[i], j) }
+
+func (p *euclideanDist) probe(q *record.Record) func(int) float64 {
+	va := q.Fields[p.field].(record.Vector)
+	return func(j int) float64 { return p.dist(va, j) }
+}
+
+// dist is Euclidean.Distance(va, record j).
+func (p *euclideanDist) dist(va record.Vector, j int) float64 {
+	vb := p.vecs[j]
 	if len(va) != len(vb) {
 		panic("distance: euclidean over mismatched dimensions")
 	}
@@ -780,11 +963,12 @@ func (p *euclideanDist) distIdx(i, j int) float64 {
 
 // hammingDist is HammingBits over prepared fingerprint references.
 type hammingDist struct {
-	bits []record.Bits
+	field int
+	bits  []record.Bits
 }
 
 func prepareHammingDist(ds *record.Dataset, field int, recs []int32) *hammingDist {
-	p := &hammingDist{bits: make([]record.Bits, len(recs))}
+	p := &hammingDist{field: field, bits: make([]record.Bits, len(recs))}
 	for x, id := range recs {
 		p.bits[x] = ds.Records[id].Fields[field].(record.Bits)
 	}
@@ -792,3 +976,8 @@ func prepareHammingDist(ds *record.Dataset, field int, recs []int32) *hammingDis
 }
 
 func (p *hammingDist) distIdx(i, j int) float64 { return HammingBits(p.bits[i], p.bits[j]) }
+
+func (p *hammingDist) probe(q *record.Record) func(int) float64 {
+	ba := q.Fields[p.field].(record.Bits)
+	return func(j int) float64 { return HammingBits(ba, p.bits[j]) }
+}

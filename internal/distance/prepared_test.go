@@ -13,7 +13,8 @@ import (
 // decisions on every pair — including zero vectors, empty sets,
 // degenerate thresholds 0 and 1, and thresholds placed exactly on an
 // observed pair distance (the float boundary where a transformed
-// comparison is most likely to disagree).
+// comparison is most likely to disagree). The kernels' probe forms are
+// held to the same contract for probe records outside the slice.
 
 // fuzzDataset builds a dataset of n records with one field of each
 // kind: vectors (index 0: dense, plus zero vectors and duplicates),
@@ -76,8 +77,20 @@ func allIdx(n int) []int32 {
 	return out
 }
 
+// probeDataset is a second fuzzed dataset with ds's shape (vector
+// dimension, fingerprint width, record count) and a seed of its own:
+// probe records that lie outside the prepared slice.
+func probeDataset(t *testing.T, ds *record.Dataset) *record.Dataset {
+	t.Helper()
+	r := ds.Records[0]
+	dim, width := len(r.Fields[0].(record.Vector)), r.Fields[2].(record.Bits).Width
+	return fuzzDataset(t, ds.Len(), dim, width, 1<<20+int64(ds.Len()))
+}
+
 // diffRule checks prepared-vs-naive decisions on every ordered pair of
-// the slice and returns the number of pairs checked.
+// the slice, and the probe form's decision for every probe record of
+// probeDataset(ds) against every slice record, and returns the number
+// of pairs checked.
 func diffRule(t *testing.T, ds *record.Dataset, rule Rule, label string) int {
 	t.Helper()
 	recs := allIdx(ds.Len())
@@ -93,6 +106,19 @@ func diffRule(t *testing.T, ds *record.Dataset, rule Rule, label string) int {
 			if got := k.MatchIdx(i, j); got != want {
 				t.Fatalf("%s: pair (%d,%d): prepared=%v naive=%v (rule %s)",
 					label, i, j, got, want, rule.String())
+			}
+		}
+	}
+	probes := probeDataset(t, ds)
+	for qi := range probes.Records {
+		q := &probes.Records[qi]
+		match := k.Probe(q)
+		for j := 0; j < ds.Len(); j++ {
+			pairs++
+			want := rule.Match(q, &ds.Records[j])
+			if got := match(j); got != want {
+				t.Fatalf("%s: probe %d vs record %d: probe form=%v naive=%v (rule %s)",
+					label, qi, j, got, want, rule.String())
 			}
 		}
 	}
@@ -176,6 +202,53 @@ func TestPreparedCompoundDifferential(t *testing.T) {
 				diffRule(t, ds, r, "wavg-boundary")
 			}
 		}
+	}
+}
+
+// TestPreparedProbeBoundaryDifferential places thresholds exactly on
+// observed probe-to-slice distances, and one ulp to either side, for
+// every metric and for a weighted average, so the probe forms meet the
+// float boundary on the pairs they decide.
+func TestPreparedProbeBoundaryDifferential(t *testing.T) {
+	ds := fuzzDataset(t, 40, 24, 100, 7)
+	probes := probeDataset(t, ds)
+	observed := func(dist func(q, r *record.Record) float64) []float64 {
+		var thrs []float64
+		for i := 0; i < probes.Len(); i += 3 {
+			for j := i % 5; j < ds.Len(); j += 7 {
+				d := dist(&probes.Records[i], &ds.Records[j])
+				thrs = append(thrs, d, math.Nextafter(d, 0), math.Nextafter(d, 2))
+			}
+		}
+		return thrs
+	}
+	metrics := []struct {
+		field int
+		m     Metric
+	}{
+		{0, Cosine{}},
+		{1, Jaccard{}},
+		{0, Euclidean{Scale: 3}},
+		{2, Hamming{}},
+	}
+	for _, mc := range metrics {
+		thrs := observed(func(q, r *record.Record) float64 {
+			return mc.m.Distance(q.Fields[mc.field], r.Fields[mc.field])
+		})
+		for _, thr := range thrs {
+			diffRule(t, ds, Threshold{Field: mc.field, Metric: mc.m, MaxDistance: thr}, "probe-boundary/"+mc.m.Name())
+		}
+	}
+	wavg := WeightedAverage{
+		Fields:      []int{0, 1, 2},
+		Metrics:     []Metric{Cosine{}, Jaccard{}, Hamming{}},
+		Weights:     []float64{0.5, 0.3, 0.2},
+		MaxDistance: 0.4,
+	}
+	for _, thr := range observed(wavg.Distance) {
+		r := wavg
+		r.MaxDistance = thr
+		diffRule(t, ds, r, "probe-boundary/wavg")
 	}
 }
 

@@ -42,13 +42,8 @@ func hashOracle(ds *record.Dataset, plan *core.Plan, hf *core.HashFunc, recs []i
 			vals[h] = make([]uint64, n)
 			lshfamily.HashRange(plan.Hashers[h], 0, n, &ds.Records[rec], vals[h])
 		}
-		for t, table := range hf.Tables {
-			key := xhash.CombineInit ^ xhash.SplitMix64(uint64(t)+0x51ed2701)
-			for _, part := range table.Parts {
-				for _, v := range vals[part.Hasher][part.Start : part.Start+part.Count] {
-					key = xhash.Combine(key, v)
-				}
-			}
+		for t := range hf.Tables {
+			key := oracleKey(hf, t, vals)
 			if last, ok := tables[t][key]; ok {
 				collisions++
 				if a, b := find(last), find(li); a != b {
@@ -75,6 +70,18 @@ func hashOracle(ds *record.Dataset, plan *core.Plan, hf *core.HashFunc, recs []i
 		return out[i][0] < out[j][0]
 	})
 	return out, collisions, merges, tables
+}
+
+// oracleKey folds table t's bucket key from per-hasher base hash
+// values, as the hash stage composes it.
+func oracleKey(hf *core.HashFunc, t int, vals [][]uint64) uint64 {
+	key := xhash.CombineInit ^ xhash.SplitMix64(uint64(t)+0x51ed2701)
+	for _, part := range hf.Tables[t].Parts {
+		for _, v := range vals[part.Hasher][part.Start : part.Start+part.Count] {
+			key = xhash.Combine(key, v)
+		}
+	}
+	return key
 }
 
 // oracleCall is one hashing invocation of the replayed round inputs
