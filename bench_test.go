@@ -13,6 +13,7 @@ import (
 	"github.com/topk-er/adalsh/internal/lshfamily"
 	"github.com/topk-er/adalsh/internal/record"
 	"github.com/topk-er/adalsh/internal/xhash"
+	"github.com/topk-er/adalsh/internal/zipfian"
 )
 
 // benchProvider is shared across benchmarks so datasets, plans and
@@ -117,8 +118,10 @@ func BenchmarkFilterPairsSpotSigs(b *testing.B) {
 // captured from a filter over the Cora workload, then one
 // QueryIndex.Query per op (cycling through the dataset's records as
 // probes). The per-op time is the full lookup — multi-probe bucket
-// walks plus prepared-kernel verification of the candidates — and
-// should sit well under 100us at this scale.
+// scans plus prepared-kernel verification of the candidates — and
+// should sit well under 100us at this scale. Cora's buckets hold a few
+// records each; the zipf50k row probes buckets of hundreds (see
+// zipfQueryIndex).
 func BenchmarkQuery(b *testing.B) {
 	p := provider()
 	bench := p.Cora(1)
@@ -141,7 +144,75 @@ func BenchmarkQuery(b *testing.B) {
 			}
 		})
 	}
+	b.Run("zipf50k/probes=2", func(b *testing.B) {
+		zq, err := zipfQueryIndex()
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			rec := zq.probes[i%len(zq.probes)]
+			if _, err := zq.ix.Query(&zq.ds.Records[rec], 3, core.QueryOptions{}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
+
+// zipfQuery is BenchmarkQuery's large-bucket workload: a point-query
+// index over a Zipf-skewed token-set corpus and the records it probes.
+type zipfQuery struct {
+	ds     *record.Dataset
+	ix     *core.QueryIndex
+	probes []int32
+}
+
+// zipfQueryIndex builds the large-bucket workload once (about two
+// seconds): 50k records in Zipf(0.6)-sized entities over 2.5k entities,
+// the largest about 900 records, in shuffled order; each record a 90%
+// sample of its entity's 24 base tokens plus up to two noise tokens,
+// matched at Jaccard distance 0.5. The probes are the records of the
+// ten largest entities, so a lookup scans buckets of hundreds of
+// records scattered over the index.
+var zipfQueryIndex = sync.OnceValues(func() (*zipfQuery, error) {
+	const n, seed = 50000, 11
+	var truth []int
+	for ent, size := range zipfian.Sizes(n, n/20, 0.6) {
+		for j := 0; j < size; j++ {
+			truth = append(truth, ent)
+		}
+	}
+	xhash.NewRNG(seed).Shuffle(len(truth), func(i, j int) { truth[i], truth[j] = truth[j], truth[i] })
+	zq := &zipfQuery{ds: &record.Dataset{Name: "zipf50k"}, ix: &core.QueryIndex{}}
+	buf := make([]uint64, 0, 26)
+	for rec, ent := range truth {
+		rng := xhash.NewRNG(xhash.Combine(seed, uint64(rec)))
+		entSeed := xhash.Combine(seed, uint64(ent)+0x9e3779b97f4a7c15)
+		buf = buf[:0]
+		for t := 0; t < 24; t++ {
+			if rng.Float64() < 0.9 {
+				buf = append(buf, xhash.SplitMix64(entSeed+uint64(t)))
+			}
+		}
+		for extra := rng.Intn(3); extra > 0; extra-- {
+			buf = append(buf, rng.Uint64())
+		}
+		zq.ds.Add(ent, record.NewSet(buf))
+		if ent < 10 {
+			zq.probes = append(zq.probes, int32(rec))
+		}
+	}
+	rule := distance.Threshold{Field: 0, Metric: distance.Jaccard{}, MaxDistance: 0.5}
+	plan, err := core.DesignPlan(zq.ds, rule, core.SequenceConfig{Seed: seed})
+	if err != nil {
+		return nil, err
+	}
+	if _, err := core.Filter(zq.ds, plan, core.Options{K: 10, Capture: zq.ix}); err != nil {
+		return nil, err
+	}
+	return zq, nil
+})
 
 // Micro-benchmarks of the substrates.
 

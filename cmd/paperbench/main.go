@@ -139,9 +139,13 @@ func writeBenchReports(p *experiments.Provider, dir string, quick, skipImages bo
 		if err := f.Close(); err != nil {
 			return err
 		}
-		fmt.Printf("bench %s: %d records, serial %.1fms, parallel %.1fms (%d workers, %.2fx) -> %s\n",
+		ratio := fmt.Sprintf("%.2fx", rep.SpeedupVsSerial)
+		if rep.SpeedupIsOverlap {
+			ratio = fmt.Sprintf("overlap %.2f on %d CPUs", rep.SpeedupVsSerial, min(rep.GOMAXPROCS, rep.NumCPU))
+		}
+		fmt.Printf("bench %s: %d records, serial %.1fms, parallel %.1fms (%d workers, %s) -> %s\n",
 			rep.Dataset, rep.Records, rep.Serial.ElapsedMS, rep.Parallel.ElapsedMS,
-			rep.Parallel.Workers, rep.SpeedupVsSerial, path)
+			rep.Parallel.Workers, ratio, path)
 	}
 	return nil
 }
@@ -178,8 +182,8 @@ func runScaleBench(records, shards int, zipf float64, workers int, seed uint64, 
 	if err := f.Close(); err != nil {
 		return err
 	}
-	fmt.Printf("scale: %d records over %d shards: filter %.1fs (hash parallelism %.2f) -> %s\n",
-		rep.Records, rep.Shards, rep.FilterMS/1000, rep.HashParallelism, path)
+	fmt.Printf("scale: %d records over %d shards: filter %.1fs (hash %s %.2f) -> %s\n",
+		rep.Records, rep.Shards, rep.FilterMS/1000, rep.HashRatioName(), rep.HashParallelism, path)
 	if rep.Baseline != nil {
 		fmt.Printf("scale: family %s hash wall %.1fs vs classic baseline %.1fs (%.2fx)\n",
 			rep.Family, rep.HashWallMS/1000, rep.Baseline.HashWallMS/1000,

@@ -440,14 +440,17 @@ func FilterIncremental(ds *record.Dataset, plan *Plan, opts Options, emit func(C
 		obs.Count(opts.Obs, obs.CtrSigElemsHashed, hashStats.SigElems)
 	}
 	stats.HashWork = hashStats.Work
+	// The capture's finishing work (bucket runs, kernel prepare) is part
+	// of the run: it counts in Elapsed and the filter span.
+	if opts.Capture != nil && ds.Len() > 0 {
+		opts.Capture.finish()
+	}
 	// The whole-run span charges the concurrent stages by busy time and
-	// everything else (design lookups, bin maintenance, reduction) once.
+	// everything else (design lookups, bin maintenance, reduction,
+	// finishing the capture) once.
 	runTimer.Workers = workers
 	runTimer.Items = ds.Len()
 	runTimer.Work = runTimer.Elapsed() - (stats.HashWall + stats.PairwiseWall) + (stats.HashWork + stats.PairwiseWork)
 	stats.Elapsed = runTimer.End()
-	if opts.Capture != nil && ds.Len() > 0 {
-		opts.Capture.finish()
-	}
 	return nil
 }

@@ -71,7 +71,10 @@ func (b *BucketTables) Release(pool *HashPool) {
 // later point lookups: the bucket tables themselves plus, per table,
 // each record's predecessor in its bucket — swap returns the previous
 // occupant at insertion time, so keeping it reconstructs every
-// bucket's full chain from the head the table stores.
+// bucket's full chain from the head the table stores. A QueryIndex
+// rewrites its capture into bucket runs when the capture finishes (see
+// toRuns); until then, and in any capture used on its own, the tables
+// hold heads and prev holds chains.
 type BucketCapture struct {
 	BucketTables
 	prev [][]int32 // prev[t][li]: li's bucket predecessor, -1 none
@@ -96,6 +99,74 @@ func (c *BucketCapture) begin(numTables, numRecs int) {
 	}
 }
 
+// toRuns rewrites the capture's chains into bucket runs and returns
+// them: runs[t] lists table t's records bucket by bucket, each bucket
+// one contiguous run from its head down to its first member, which is
+// stored complemented (^li < 0) to end the run, and every table slot
+// is repointed from its bucket's head to the bucket's run start. The
+// chains' memory becomes the runs' and prev is emptied.
+//
+// Per table it is a counting sort by bucket. One forward pass resolves
+// each record's bucket root (the bucket's first member) as the root of
+// its predecessor: both insertion paths insert records in ascending li
+// order, so prev[t][li] < li and the predecessor's root is already
+// known. For the same reason a bucket's head, its last insertion, is
+// its largest member, so placing records in descending li order puts
+// each head at its run's start and each root at its end.
+func (c *BucketCapture) toRuns() [][]int32 {
+	runs := c.prev
+	c.prev = nil
+	if len(runs) == 0 {
+		return runs
+	}
+	n := len(runs[0])
+	// next[r] is the next free position of root r's run; spare receives
+	// a table's run while its chain array is still being read, and is
+	// then recycled for the next table.
+	next := make([]int32, n)
+	spare := make([]int32, n)
+	for t, root := range runs {
+		clear(next)
+		for li, p := range root {
+			if p >= 0 {
+				p = root[p]
+			} else {
+				p = int32(li)
+			}
+			root[li] = p
+			next[p]++
+		}
+		var off int32
+		for r, size := range next {
+			next[r] = off
+			off += size
+		}
+		// Place the records; root[li] becomes li's position in run.
+		run := spare
+		for li := int32(n - 1); li >= 0; li-- {
+			r := root[li]
+			pos := next[r]
+			next[r]++
+			if r == li {
+				run[pos] = ^li
+			} else {
+				run[pos] = li
+			}
+			root[li] = pos
+		}
+		for s := range max(c.shards, 1) {
+			tab := c.tables[s*c.numTables+t]
+			for i, st := range tab.stamp {
+				if st == tab.epoch {
+					tab.vals[i] = root[tab.vals[i]]
+				}
+			}
+		}
+		runs[t], spare = run, root
+	}
+	return runs
+}
+
 // QueryIndex is the retained point-lookup index of one filtering run:
 // round 1's bucket state plus the emitted cluster assignment. Filter /
 // FilterIncremental populate it when Options.Capture points at one;
@@ -114,7 +185,14 @@ type QueryIndex struct {
 	// local indices sorts record IDs.
 	recs []int32
 
+	// buckets holds round 1's bucket tables: while the capture runs,
+	// ApplyHashOpt's heads and chains; once it finishes, run starts
+	// into runs (see BucketCapture.toRuns), the chains emptied.
 	buckets BucketCapture
+	// runs[t] holds table t's buckets as contiguous runs, so a lookup
+	// scans a probed bucket instead of chasing its chain. The next
+	// capture reuses its memory for the chains.
+	runs [][]int32
 	// kernel is the rule's match kernel over recs, prepared once when
 	// the capture finishes: a lookup prepares only its probe record.
 	kernel distance.PreparedRule
@@ -165,6 +243,7 @@ func (ix *QueryIndex) beginCapture(ds *record.Dataset, plan *Plan, recs []int32)
 	}
 	ix.clusters = ix.clusters[:0]
 	ix.built = false
+	ix.buckets.prev, ix.runs = ix.runs, nil
 	return &ix.buckets
 }
 
@@ -177,9 +256,11 @@ func (ix *QueryIndex) registerCluster(c Cluster) {
 	}
 }
 
-// finish prepares the rule's kernel over the captured records and
-// marks the capture complete.
+// finish rewrites the captured chains into bucket runs, prepares the
+// rule's kernel over the captured records and marks the capture
+// complete.
 func (ix *QueryIndex) finish() {
+	ix.runs = ix.buckets.toRuns()
 	ix.kernel = distance.Prepare(ix.ds, ix.plan.Rule, ix.recs)
 	ix.built = true
 }
@@ -380,15 +461,23 @@ func (ix *QueryIndex) Query(q *record.Record, m int, opts QueryOptions) (*QueryR
 	probesDone := 0
 	probe := func(t int, key uint64) {
 		probesDone++
-		head, ok := ix.buckets.Lookup(t, key)
+		i, ok := ix.buckets.Lookup(t, key)
 		if !ok {
 			return
 		}
-		prev := ix.buckets.prev[t]
-		for li := head; li >= 0; li = prev[li] {
+		run := ix.runs[t]
+		for ; ; i++ {
+			li := run[i]
+			last := li < 0
+			if last {
+				li = ^li
+			}
 			if sc.visited[li] != sc.epoch {
 				sc.visited[li] = sc.epoch
 				sc.cands = append(sc.cands, li)
+			}
+			if last {
+				return
 			}
 		}
 	}

@@ -435,6 +435,42 @@ func TestQueryIndexConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
+// builtAtFilterSpan is a sink that records, for each StageFilter span
+// it receives, whether the run's query index was already built.
+type builtAtFilterSpan struct {
+	ix    *core.QueryIndex
+	built []bool
+}
+
+func (s *builtAtFilterSpan) Count(obs.Counter, int64) {}
+
+func (s *builtAtFilterSpan) Span(sp obs.Span) {
+	if sp.Stage == obs.StageFilter {
+		s.built = append(s.built, s.ix.Built())
+	}
+}
+
+// TestCaptureFinishesInsideFilterSpan: finishing a capture (bucket runs,
+// kernel prepare) is work of the filtering run, so the index is built
+// before the run's StageFilter span ends and Stats.Elapsed covers it.
+func TestCaptureFinishesInsideFilterSpan(t *testing.T) {
+	ds := clusteredSetDataset(t, []int{20, 12, 6, 3}, 43)
+	plan, err := core.DesignPlan(ds, jaccardRule(), core.SequenceConfig{Seed: 5})
+	if err != nil {
+		t.Fatalf("DesignPlan: %v", err)
+	}
+	ix := &core.QueryIndex{}
+	sink := &builtAtFilterSpan{ix: ix}
+	for run := 0; run < 2; run++ {
+		if _, err := core.Filter(ds, plan, core.Options{K: 2, Capture: ix, Obs: sink}); err != nil {
+			t.Fatalf("Filter: %v", err)
+		}
+	}
+	if want := []bool{true, true}; !reflect.DeepEqual(sink.built, want) {
+		t.Fatalf("index built at each filter span: %v, want %v", sink.built, want)
+	}
+}
+
 // TestQueryValidation: the new entry points reject invalid arguments
 // with clear errors instead of undefined downstream behavior.
 func TestQueryValidation(t *testing.T) {

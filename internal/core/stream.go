@@ -324,6 +324,10 @@ func (s *Stream) TopKClusters(k, returnClusters int) (*Result, error) {
 // DefaultQueryProbes).
 func (s *Stream) SetQueryProbes(probes int) { s.queryProbes = probes }
 
+// QueryProbes reports the probe-key count SetQueryProbes (or a restored
+// state) set; 0 means DefaultQueryProbes.
+func (s *Stream) QueryProbes() int { return s.queryProbes }
+
 // SetQueryRefresh sets how many Adds after an index build Query
 // tolerates before rebuilding: records added after a build are
 // invisible to point queries until the next rebuild, so the threshold

@@ -72,6 +72,13 @@ type BenchReport struct {
 	Serial          RunBench `json:"serial"`
 	Parallel        RunBench `json:"parallel"`
 	SpeedupVsSerial float64  `json:"speedup_vs_serial"`
+	// GOMAXPROCS and NumCPU are the run's hardware context. With fewer
+	// of either than Parallel.Workers the workers shared cores, so
+	// SpeedupVsSerial measures how far they overlapped through the
+	// scheduler, not a speed-up, and SpeedupIsOverlap is set.
+	GOMAXPROCS       int  `json:"gomaxprocs"`
+	NumCPU           int  `json:"num_cpu"`
+	SpeedupIsOverlap bool `json:"speedup_is_overlap"`
 	// Query benchmarks the online point-query path against the same
 	// dataset: one captured index, then one lookup per sampled record.
 	Query QueryBench `json:"query"`
@@ -264,7 +271,10 @@ func Bench(p *Provider, name string, b *datasets.Benchmark, k, workers, hashShar
 	if err != nil {
 		return nil, err
 	}
-	rep := &BenchReport{Dataset: name, Records: b.Dataset.Len(), K: k, Seed: p.Seed}
+	rep := &BenchReport{
+		Dataset: name, Records: b.Dataset.Len(), K: k, Seed: p.Seed,
+		GOMAXPROCS: runtime.GOMAXPROCS(0), NumCPU: runtime.NumCPU(),
+	}
 	if rep.Serial, err = benchRun(b, plan, k, 1, 0, 0); err != nil {
 		return nil, err
 	}
@@ -274,6 +284,7 @@ func Bench(p *Provider, name string, b *datasets.Benchmark, k, workers, hashShar
 	if rep.Parallel.ElapsedMS > 0 {
 		rep.SpeedupVsSerial = rep.Serial.ElapsedMS / rep.Parallel.ElapsedMS
 	}
+	rep.SpeedupIsOverlap = min(rep.GOMAXPROCS, rep.NumCPU) < rep.Parallel.Workers
 	if rep.Query, err = benchQuery(b, plan, k); err != nil {
 		return nil, err
 	}

@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"encoding/json"
+	"runtime"
 	"testing"
 )
 
@@ -45,6 +46,49 @@ func TestBenchReportDeterministicCounters(t *testing.T) {
 	}
 	if back.Dataset != "cora" || back.Serial.HashEvals != rep.Serial.HashEvals {
 		t.Fatalf("JSON round-trip mangled the report: %+v", back)
+	}
+	checkHardwareContext(t, buf.Bytes(), "speedup_is_overlap", 4)
+}
+
+// checkHardwareContext pins a report's hardware context: gomaxprocs and
+// num_cpu as the runtime reports them, and the overlap flag set exactly
+// when either is below the parallel run's concurrency.
+func checkHardwareContext(t *testing.T, report []byte, flag string, parallel int) {
+	t.Helper()
+	var fields map[string]any
+	if err := json.Unmarshal(report, &fields); err != nil {
+		t.Fatal(err)
+	}
+	procs, cpus := runtime.GOMAXPROCS(0), runtime.NumCPU()
+	want := map[string]any{
+		"gomaxprocs": float64(procs),
+		"num_cpu":    float64(cpus),
+		flag:         min(procs, cpus) < parallel,
+	}
+	for name, v := range want {
+		if fields[name] != v {
+			t.Errorf("report field %s = %v, want %v", name, fields[name], v)
+		}
+	}
+}
+
+// TestScaleReportHardwareContext runs the scale benchmark at toy size
+// with more shards than the machine has CPUs, where the hash ratio must
+// read as overlap, and with one shard, where it never does.
+func TestScaleReportHardwareContext(t *testing.T) {
+	for _, shards := range []int{runtime.NumCPU() + 1, 1} {
+		rep, err := RunScale(ScaleOptions{Records: 2000, Shards: shards, Seed: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := rep.WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		checkHardwareContext(t, buf.Bytes(), "hash_parallelism_is_overlap", shards)
+		if wantOverlap := shards > 1; rep.HashParallelismIsOverlap != wantOverlap || (rep.HashRatioName() == "overlap") != wantOverlap {
+			t.Errorf("%d shards: overlap %v (%s), want %v", shards, rep.HashParallelismIsOverlap, rep.HashRatioName(), wantOverlap)
+		}
 	}
 }
 

@@ -103,9 +103,12 @@ type ScaleBench struct {
 	// Family is the signature family of the main run ("classic" or
 	// "oph"); Baseline (below) is the classic A/B row when oph.
 	Family string `json:"family,omitempty"`
-	// CPUs is GOMAXPROCS at run time — the context for reading
-	// HashParallelism (see below).
-	CPUs int `json:"cpus"`
+	// GOMAXPROCS and NumCPU are the run's hardware context for reading
+	// HashParallelism (see below); HashParallelismIsOverlap is set when
+	// either is below min(Shards, Workers), the most shards in flight.
+	GOMAXPROCS               int  `json:"gomaxprocs"`
+	NumCPU                   int  `json:"num_cpu"`
+	HashParallelismIsOverlap bool `json:"hash_parallelism_is_overlap"`
 
 	// Out-of-core store.
 	ColFile  string `json:"col_file,omitempty"`
@@ -124,9 +127,9 @@ type ScaleBench struct {
 	// ratio is the average number of shards in flight. On hardware
 	// with >= min(shards, workers) cores each in-flight shard has its
 	// own core and the ratio IS the hashing-stage speedup over
-	// running the shards back-to-back; on fewer cores (see CPUs) the
-	// spans overlap through the scheduler and the ratio reports
-	// concurrency, not speedup.
+	// running the shards back-to-back; on fewer cores (see GOMAXPROCS,
+	// NumCPU and HashParallelismIsOverlap) the spans overlap through
+	// the scheduler and the ratio reports concurrency, not speedup.
 	HashWallMS      float64 `json:"hash_wall_ms"`
 	HashWorkMS      float64 `json:"hash_work_ms"`
 	HashParallelism float64 `json:"hash_parallelism"`
@@ -147,6 +150,15 @@ type ScaleBench struct {
 	// Baseline is the classic-family A/B row over the same .col file
 	// (set only when ScaleOptions.Family is "oph").
 	Baseline *ScaleFamilyRow `json:"baseline,omitempty"`
+}
+
+// HashRatioName names HashParallelism as the hardware lets it be read:
+// "overlap" when HashParallelismIsOverlap, else "parallelism".
+func (r *ScaleBench) HashRatioName() string {
+	if r.HashParallelismIsOverlap {
+		return "overlap"
+	}
+	return "parallelism"
 }
 
 // WriteJSON writes the report as indented JSON.
@@ -308,8 +320,9 @@ func RunScale(opts ScaleOptions) (*ScaleBench, error) {
 	rep := &ScaleBench{
 		Records: opts.Records, Entities: opts.Entities, Zipf: opts.Zipf,
 		Shards: opts.Shards, Workers: opts.Workers, K: opts.K, Seed: opts.Seed,
-		CPUs: runtime.GOMAXPROCS(0),
+		GOMAXPROCS: runtime.GOMAXPROCS(0), NumCPU: runtime.NumCPU(),
 	}
+	rep.HashParallelismIsOverlap = min(rep.GOMAXPROCS, rep.NumCPU) < min(rep.Shards, rep.Workers)
 
 	colPath := filepath.Join(dir, fmt.Sprintf("scale_%d.col", opts.Records))
 	t0 := time.Now()
@@ -388,8 +401,8 @@ func RunScale(opts ScaleOptions) (*ScaleBench, error) {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	rep.HeapMB = float64(ms.HeapAlloc) / (1 << 20)
-	progress("filtered in %.1fs: %d clusters, %d records kept (top %d); hash wall %.1fs work %.1fs (parallelism %.2f), reconcile %.1fs",
+	progress("filtered in %.1fs: %d clusters, %d records kept (top %d); hash wall %.1fs work %.1fs (%s %.2f), reconcile %.1fs",
 		rep.FilterMS/1000, rep.Clusters, rep.Kept, rep.TopClusterSize,
-		rep.HashWallMS/1000, rep.HashWorkMS/1000, rep.HashParallelism, rep.ReconcileWallMS/1000)
+		rep.HashWallMS/1000, rep.HashWorkMS/1000, rep.HashRatioName(), rep.HashParallelism, rep.ReconcileWallMS/1000)
 	return rep, nil
 }

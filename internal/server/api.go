@@ -60,7 +60,8 @@ type CreateSessionRequest struct {
 	// returns 409 exactly as before a first top-k run.
 	Shards int `json:"shards,omitempty"`
 	// QueryProbes / QueryRefresh tune point lookups
-	// (Stream.SetQueryProbes / SetQueryRefresh semantics).
+	// (Stream.SetQueryProbes / SetQueryRefresh semantics). A negative
+	// QueryProbes is refused (400).
 	QueryProbes  int `json:"query_probes,omitempty"`
 	QueryRefresh int `json:"query_refresh,omitempty"`
 	// ReplanGrowth is the plan re-design growth factor
@@ -139,7 +140,8 @@ type QueryRequest struct {
 	// M caps the candidate clusters returned (default 3).
 	M int `json:"m,omitempty"`
 	// Probes overrides the session's multi-probe key count for this
-	// lookup (0 keeps the session setting).
+	// lookup (0 keeps the session setting; negative is refused with
+	// 400).
 	Probes int `json:"probes,omitempty"`
 }
 

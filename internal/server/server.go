@@ -71,6 +71,9 @@ var idPattern = regexp.MustCompile(`^[A-Za-z0-9][A-Za-z0-9._-]{0,63}$`)
 // handler and the warm-boot path). ruleStr is the canonical rule
 // formatting echoed in session metadata.
 func (sv *Server) newSession(id, ruleStr string, st *core.Stream, req CreateSessionRequest, restored bool) (*Session, error) {
+	if req.QueryProbes < 0 {
+		return nil, fmt.Errorf("server: query_probes %d: want >= 0", req.QueryProbes)
+	}
 	s := &Session{
 		id: id, rule: ruleStr, st: st,
 		k: req.K, khat: req.ReturnClusters,
@@ -219,7 +222,9 @@ func (sv *Server) LoadDir(dir string) ([]string, error) {
 			return ids, fmt.Errorf("server: warm boot %s: %w", path, err)
 		}
 		ruleStr, _ := rulespec.Format(st.Rule())
-		req := CreateSessionRequest{CheckpointEvery: sv.opts.CheckpointEvery}
+		// The stored probe count is the session's default, on the
+		// read-only lookup path as on the stream's.
+		req := CreateSessionRequest{CheckpointEvery: sv.opts.CheckpointEvery, QueryProbes: st.QueryProbes()}
 		s, err := sv.newSession(id, ruleStr, st, req, true)
 		if err != nil {
 			return ids, fmt.Errorf("server: warm boot %s: %w", path, err)

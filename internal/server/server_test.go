@@ -16,6 +16,7 @@ import (
 	"github.com/topk-er/adalsh/internal/rulespec"
 	"github.com/topk-er/adalsh/internal/server"
 	"github.com/topk-er/adalsh/internal/server/client"
+	"github.com/topk-er/adalsh/internal/snapio"
 	"github.com/topk-er/adalsh/internal/xhash"
 )
 
@@ -447,6 +448,109 @@ func TestIngestOverBodyCap(t *testing.T) {
 	}
 	if res, err := c.Ingest("cap", wire[5]); err != nil || res.Records != 6 {
 		t.Fatalf("under-cap ingest: %+v, %v; want 6 records", res, err)
+	}
+}
+
+// TestNegativeProbesRejected: a negative probe count is refused with
+// 400 at the HTTP boundary. At creation no session is made. Per lookup
+// the refusal comes before any lock, so a stale session's lookup
+// neither re-clusters (hash_evals) nor freshens the index.
+func TestNegativeProbesRejected(t *testing.T) {
+	srv, c := startServer(t, server.Options{})
+	wire, _, _ := testRecords(t, 60, 4, 37)
+	if _, err := c.CreateSession(server.CreateSessionRequest{ID: "neg", Rule: testRule, QueryProbes: -2}); status(err) != http.StatusBadRequest {
+		t.Fatalf("create with query_probes -2: got %v, want 400", err)
+	}
+	if srv.Lookup("neg") != nil {
+		t.Fatal("session created with query_probes -2")
+	}
+
+	if _, err := c.CreateSession(server.CreateSessionRequest{ID: "stale", Rule: testRule, K: 3, QueryRefresh: 10}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Ingest("stale", wire[:40]...); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.TopK("stale", 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Ingest("stale", wire[40:]...); err != nil {
+		t.Fatal(err)
+	}
+	before, err := c.Stats("stale")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if before.QueryIndexFresh {
+		t.Fatal("index fresh after 20 adds past a refresh threshold of 10")
+	}
+	if _, err := c.Query("stale", server.QueryRequest{Fields: wire[0].Fields, Probes: -1}); status(err) != http.StatusBadRequest {
+		t.Fatalf("lookup with probes -1: got %v, want 400", err)
+	}
+	after, err := c.Stats("stale")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after.QueryIndexFresh || after.Counters["hash_evals"] != before.Counters["hash_evals"] {
+		t.Fatalf("rejected lookup moved the session: index fresh %v, hash_evals %d -> %d",
+			after.QueryIndexFresh, before.Counters["hash_evals"], after.Counters["hash_evals"])
+	}
+	// A valid lookup does rebuild: the session really was stale.
+	if _, err := c.Query("stale", server.QueryRequest{Fields: wire[0].Fields}); err != nil {
+		t.Fatal(err)
+	}
+	if rebuilt, err := c.Stats("stale"); err != nil || !rebuilt.QueryIndexFresh || rebuilt.Counters["hash_evals"] == before.Counters["hash_evals"] {
+		t.Fatalf("valid lookup on the stale session: stats %+v, %v; want a rebuild", rebuilt, err)
+	}
+}
+
+// TestWarmBootQueryProbes: warm boot makes a session's stored probe
+// count its default on both lookup paths, and refuses a negative one.
+func TestWarmBootQueryProbes(t *testing.T) {
+	dir := t.TempDir()
+	_, fields, truth := testRecords(t, 40, 4, 41)
+	rule, err := rulespec.Parse(testRule)
+	if err != nil {
+		t.Fatal(err)
+	}
+	save := func(id string, probes int) {
+		st := core.NewStream(rule, core.SequenceConfig{Seed: 5})
+		for i := range fields {
+			st.AddWithTruth(truth[i], fields[i]...)
+		}
+		if _, err := st.TopKClusters(3, 0); err != nil {
+			t.Fatal(err)
+		}
+		st.SetQueryProbes(probes)
+		if err := snapio.SaveFile(filepath.Join(dir, id+".snap"), st); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	save("one", 1)
+	srv := server.New(server.Options{})
+	if _, err := srv.LoadDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	s := srv.Lookup("one")
+	// The restored index is rebuilt by the first lookup, on the
+	// stream's path; the second reads it under the read lock.
+	rebuilt, readOnly, err := s.Query(fields[0], 3, 0)
+	if err != nil || readOnly {
+		t.Fatalf("first lookup after warm boot: read-only %v, %v; want a rebuild", readOnly, err)
+	}
+	fresh, readOnly, err := s.Query(fields[0], 3, 0)
+	if err != nil || !readOnly {
+		t.Fatalf("second lookup after warm boot: read-only %v, %v", readOnly, err)
+	}
+	if rebuilt.Probes != fresh.Probes {
+		t.Fatalf("stored probe count 1: rebuilding lookup made %d probes, read-only lookup %d", rebuilt.Probes, fresh.Probes)
+	}
+
+	save("neg", -2)
+	srv2 := server.New(server.Options{})
+	if _, err := srv2.LoadDir(dir); err == nil || srv2.Lookup("neg") != nil {
+		t.Fatalf("warm boot of stored query_probes -2: err %v; want an error and no session", err)
 	}
 }
 

@@ -145,8 +145,12 @@ func (s *Session) TopK(k, khat int) (res *core.Result, ckptFailed bool, err erro
 // run under the read lock — concurrently with each other — and report
 // readOnly true; a stale or absent index takes the write lock so the
 // stream can transparently rebuild it (checkpoint failures during the
-// rebuild are absorbed by Stream.Query itself).
+// rebuild are absorbed by Stream.Query itself). A negative probes is
+// refused before any lock is taken, so it cannot trigger a rebuild.
 func (s *Session) Query(fields []record.Field, m, probes int) (res *core.QueryResult, readOnly bool, err error) {
+	if probes < 0 {
+		return nil, false, fmt.Errorf("server: probes %d: want >= 0", probes)
+	}
 	if m < 1 {
 		m = 3
 	}
