@@ -309,22 +309,31 @@ func Filter(ds *Dataset, rule Rule, cfg Config) (*Result, error) {
 // cfg.Shards > 1 the run goes through the sharded scale-out engine
 // with byte-identical results.
 func FilterWithPlan(ds *Dataset, plan *Plan, cfg Config) (*Result, error) {
-	if cfg.Shards > 1 {
-		o := cfg.options()
-		sopts := shard.Options{
-			Shards: cfg.Shards, K: o.K, ReturnClusters: o.ReturnClusters,
-			Workers: o.Workers, OnRound: o.OnRound, Obs: o.Obs,
-		}
-		return shard.Filter(ds, plan, sopts)
-	}
-	return core.Filter(ds, plan, cfg.options())
+	return core.Collect(func(emit func(Cluster) bool, stats *Stats) error {
+		return filterIncremental(ds, plan, cfg, emit, stats)
+	})
 }
 
 // FilterIncremental streams final clusters as they are found, largest
 // entities first (the incremental mode of Section 4.2). emit may
-// return false to stop early.
+// return false to stop early. cfg.Shards > 1 streams from the sharded
+// engine, with the same clusters in the same order.
 func FilterIncremental(ds *Dataset, plan *Plan, cfg Config, emit func(Cluster) bool) error {
-	return core.FilterIncremental(ds, plan, cfg.options(), emit, nil)
+	return filterIncremental(ds, plan, cfg, emit, nil)
+}
+
+// filterIncremental runs Algorithm 1's loop on the engine cfg selects:
+// the sharded engine's hash rounds when cfg.Shards > 1, else the single
+// engine's.
+func filterIncremental(ds *Dataset, plan *Plan, cfg Config, emit func(Cluster) bool, stats *Stats) error {
+	if cfg.Shards > 1 {
+		e, err := shard.New(ds, shard.Options{Shards: cfg.Shards})
+		if err != nil {
+			return err
+		}
+		return e.FilterIncremental(plan, cfg.options(), emit, stats)
+	}
+	return core.FilterIncremental(ds, plan, cfg.options(), emit, stats)
 }
 
 // FilterPipeline runs Adaptive LSH in a goroutine and delivers final
@@ -342,7 +351,7 @@ func FilterPipeline(ds *Dataset, plan *Plan, cfg Config) (<-chan Cluster, <-chan
 	errc := make(chan error, 1)
 	go func() {
 		defer close(clusters)
-		err := core.FilterIncremental(ds, plan, cfg.options(), func(c Cluster) bool {
+		err := filterIncremental(ds, plan, cfg, func(c Cluster) bool {
 			clusters <- c
 			return true
 		}, nil)
@@ -382,11 +391,12 @@ func NewStream(rule Rule, cfg SequenceConfig) *Stream {
 }
 
 // ShardStream attaches the sharded scale-out engine to a stream:
-// subsequent TopK/TopKClusters calls partition records across the
-// given number of engine shards (byte-identical output, per-shard
-// signature caches that persist across queries). Attach before the
-// first TopK. Point queries (Stream.Query) are unavailable on a
-// sharded stream and return an error. Save still snapshots records
+// subsequent TopK/TopKClusters calls run the same Algorithm-1 loop with
+// each hashing round partitioned across the given number of engine
+// shards (byte-identical output, per-shard signature caches that
+// persist across queries). Attach before the first TopK. Point queries
+// (Stream.Query) are unavailable on a sharded stream, whose rounds keep
+// no bucket capture, and return an error. Save still snapshots records
 // and plan, but the per-shard signature caches stay process-local —
 // a restored stream re-hashes on its next query (and restores
 // unsharded; call ShardStream again after Restore).

@@ -1,6 +1,7 @@
 package adalsh_test
 
 import (
+	"reflect"
 	"testing"
 
 	adalsh "github.com/topk-er/adalsh"
@@ -141,6 +142,54 @@ func TestFilterPipeline(t *testing.T) {
 	if len(sizes) != 3 || sizes[0] != 12 || sizes[1] != 8 || sizes[2] != 5 {
 		t.Fatalf("pipelined sizes %v", sizes)
 	}
+}
+
+// TestShardedIncrementalModes pins Config.Shards on the streaming entry
+// points: FilterIncremental and FilterPipeline run the sharded engine
+// (its boundary counters move) and stream FilterWithPlan's clusters in
+// order.
+func TestShardedIncrementalModes(t *testing.T) {
+	ds := smallDataset([]int{14, 9, 6, 3}, 29)
+	rule := adalsh.MatchThreshold(0, adalsh.Jaccard(), 0.5)
+	plan, err := adalsh.NewPlan(ds, rule, adalsh.SequenceConfig{Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := adalsh.FilterWithPlan(ds, plan, adalsh.Config{K: 3, Shards: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(mode string, got []adalsh.Cluster, col *adalsh.StatsCollector) {
+		t.Helper()
+		if !reflect.DeepEqual(got, want.Clusters) {
+			t.Errorf("%s: streamed clusters differ from FilterWithPlan's", mode)
+		}
+		if col.Counters()["boundary_keys"] == 0 {
+			t.Errorf("%s: no boundary keys with Shards 3: the sharded engine did not run", mode)
+		}
+	}
+
+	col := adalsh.NewStatsCollector()
+	var got []adalsh.Cluster
+	err = adalsh.FilterIncremental(ds, plan, adalsh.Config{K: 3, Shards: 3, Obs: col}, func(c adalsh.Cluster) bool {
+		got = append(got, c)
+		return true
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("FilterIncremental", got, col)
+
+	col = adalsh.NewStatsCollector()
+	clusters, errc := adalsh.FilterPipeline(ds, plan, adalsh.Config{K: 3, Shards: 3, Obs: col})
+	got = nil
+	for c := range clusters {
+		got = append(got, c)
+	}
+	if err := <-errc; err != nil {
+		t.Fatal(err)
+	}
+	check("FilterPipeline", got, col)
 }
 
 func TestRecoverPublic(t *testing.T) {

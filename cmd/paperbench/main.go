@@ -44,7 +44,7 @@ func main() {
 	tracePath := flag.String("trace", "", "write an execution trace of the run to this file (inspect with go tool trace)")
 	memprofPath := flag.String("memprofile", "", "write an allocation (heap) profile of the run to this file (inspect with go tool pprof -sample_index=alloc_objects)")
 	scale := flag.Bool("scale", false, "run the sharded scale-out benchmark: stream a Zipfian workload into an out-of-core .col file and filter it with the sharded engine, writing BENCH_scale.json (into -stats-json DIR, or the working directory)")
-	scaleRecords := flag.Int("scale-records", 10_000_000, "workload size of the -scale run")
+	scaleRecords := flag.Int("scale-records", 1_000_000, "workload size of the -scale run")
 	scaleShards := flag.Int("scale-shards", 4, "shard count of the -scale run")
 	scaleZipf := flag.Float64("scale-zipf", 0, "entity-size Zipf exponent of the -scale run (0 = default 0.6; head-heavy exponents >= 1 need RAM in proportion to the head entity)")
 	scaleDir := flag.String("scale-dir", "", "working directory for the -scale .col file (default: a temp dir, removed afterwards; set to keep the file)")

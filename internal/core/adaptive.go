@@ -160,6 +160,10 @@ type Stats struct {
 	// HashRounds and PairwiseRounds count Algorithm 1 iterations by
 	// the function they applied.
 	HashRounds, PairwiseRounds int
+	// PairwiseMerges counts the parent-pointer merges of P's rounds
+	// (PairwiseStats.Merges semantics); the merges obs counter adds the
+	// hash rounds' merges to it.
+	PairwiseMerges int64
 	// ModelCost is the Definition 3 cost of the run:
 	// sum_i n_i*cost_i + n_P*cost_P. With the hash cache disabled,
 	// every hash round is charged the full Cost(H_{t+1}) instead of
@@ -209,8 +213,17 @@ func (c *workCluster) Size() int { return len(c.recs) }
 // the k(hat) largest entities in ds. See FilterIncremental for the
 // streaming variant.
 func Filter(ds *record.Dataset, plan *Plan, opts Options) (*Result, error) {
+	return Collect(func(emit func(Cluster) bool, stats *Stats) error {
+		return FilterIncremental(ds, plan, opts, emit, stats)
+	})
+}
+
+// Collect runs an incremental filter to completion and gathers what it
+// emits into a Result: the clusters in emission order, their records'
+// ascending union, and the run's stats.
+func Collect(run func(emit func(Cluster) bool, stats *Stats) error) (*Result, error) {
 	res := &Result{}
-	err := FilterIncremental(ds, plan, opts, func(c Cluster) bool {
+	err := run(func(c Cluster) bool {
 		res.Clusters = append(res.Clusters, c)
 		return true
 	}, &res.Stats)
@@ -224,12 +237,69 @@ func Filter(ds *record.Dataset, plan *Plan, opts Options) (*Result, error) {
 	return res, nil
 }
 
+// HashRounder executes the hashing rounds of Algorithm 1 for
+// FilterRounds. It is the one step the engines differ in: the single
+// engine applies H_t with ApplyHashOpt against one signature cache,
+// while internal/shard's Engine hashes each shard's records
+// concurrently and reconciles the shards' buckets. Everything else,
+// from the bins and the choice between hashing further, verifying with
+// P and emitting, to ModelCost, the stage spans and the counters,
+// belongs to the loop.
+type HashRounder interface {
+	// HashRound applies hf to recs (dataset record IDs, ascending) and
+	// returns the partition in CollectClusters' canonical order. It
+	// adds the round's busy time, bucket collisions and merges to st,
+	// and, when the round hashes without a signature cache, the
+	// evaluations and element hashes it streamed.
+	HashRound(recs []int32, hf *HashFunc, st *HashStats) [][]int32
+	// Caches reports the signature caches the rounds fill, none when
+	// they hash without one. The loop calls it once, before the first
+	// round, reports the caches' cumulative counters as per-run deltas
+	// and their per-hasher evaluations as Stats.HashEvals, and charges
+	// the incremental step cost only when there is a cache.
+	Caches() []*Cache
+}
+
+// engineRounds is the single engine's HashRounder: ApplyHashOpt over
+// one signature cache (nil when the run streams its signatures) with
+// the run's hash options. Round one also fills the options' capture.
+type engineRounds struct {
+	ds    *record.Dataset
+	plan  *Plan
+	cache *Cache
+	hopts HashOptions
+}
+
+func (r *engineRounds) HashRound(recs []int32, hf *HashFunc, st *HashStats) [][]int32 {
+	subs := ApplyHashOpt(r.ds, r.plan, hf, r.cache, recs, r.hopts, st)
+	r.hopts.Capture = nil // only round 1 covers the whole dataset
+	return subs
+}
+
+func (r *engineRounds) Caches() []*Cache {
+	if r.cache == nil {
+		return nil
+	}
+	return []*Cache{r.cache}
+}
+
 // FilterIncremental is the incremental output mode of Section 4.2: it
 // invokes emit for each final cluster the moment the cluster becomes
 // the largest remaining one — largest entities stream out first, and by
 // Theorem 2 each k' <= k prefix is produced with minimal cost. emit may
 // return false to stop early. stats may be nil.
 func FilterIncremental(ds *record.Dataset, plan *Plan, opts Options, emit func(Cluster) bool, stats *Stats) error {
+	return FilterRounds(ds, plan, opts, nil, emit, stats)
+}
+
+// FilterRounds is FilterIncremental with its hashing rounds executed
+// by rounds, and the one implementation of Algorithm 1's loop. A nil
+// rounds runs the single engine: ApplyHashOpt over opts.Cache (or a
+// cache of the run's own, or none with DisableHashCache) and
+// opts.HashPool. Those options, HashShards, HashMinParallel and Capture
+// configure the single engine's rounds only; Capture with a non-nil
+// rounds is an error.
+func FilterRounds(ds *record.Dataset, plan *Plan, opts Options, rounds HashRounder, emit func(Cluster) bool, stats *Stats) error {
 	if opts.K < 1 {
 		return fmt.Errorf("core: K = %d, want >= 1", opts.K)
 	}
@@ -242,6 +312,9 @@ func FilterIncremental(ds *record.Dataset, plan *Plan, opts Options, emit func(C
 	if err := plan.CompatibleWith(ds); err != nil {
 		return err
 	}
+	if rounds != nil && opts.Capture != nil {
+		return fmt.Errorf("core: Capture needs the single engine's hash rounds")
+	}
 	memSample := opts.MemSample && opts.Obs != nil
 	startStage := func(stage obs.Stage) obs.Timer {
 		if memSample {
@@ -252,17 +325,6 @@ func FilterIncremental(ds *record.Dataset, plan *Plan, opts Options, emit func(C
 	runTimer := startStage(obs.StageFilter)
 	khat := opts.khat()
 	L := plan.L()
-	var cache *Cache
-	if !opts.DisableHashCache {
-		cache = opts.Cache
-		if cache == nil {
-			cache = NewCache(ds, len(plan.Hashers))
-		}
-	}
-	pool := opts.HashPool
-	if pool == nil {
-		pool = NewHashPool()
-	}
 	var st Stats
 	if stats == nil {
 		stats = &st
@@ -273,30 +335,48 @@ func FilterIncremental(ds *record.Dataset, plan *Plan, opts Options, emit func(C
 	}
 	stats.Workers = workers
 	popts := PairwiseOptions{Workers: workers, NoSkip: opts.DisableTransitiveSkip, MinPairs: opts.PairwiseMinPairs}
-	hopts := HashOptions{
-		Workers: workers, Shards: opts.HashShards, MinParallel: opts.HashMinParallel,
-		Pool: pool,
+	all := make([]int32, ds.Len())
+	for i := range all {
+		all[i] = int32(i)
 	}
+	if rounds == nil {
+		single := &engineRounds{ds: ds, plan: plan, hopts: HashOptions{
+			Workers: workers, Shards: opts.HashShards, MinParallel: opts.HashMinParallel,
+			Pool: opts.HashPool,
+		}}
+		if !opts.DisableHashCache {
+			single.cache = opts.Cache
+			if single.cache == nil {
+				single.cache = NewCache(ds, len(plan.Hashers))
+			}
+		}
+		if single.hopts.Pool == nil {
+			single.hopts.Pool = NewHashPool()
+		}
+		if opts.Capture != nil && ds.Len() > 0 {
+			single.hopts.Capture = opts.Capture.beginCapture(ds, plan, all)
+		}
+		rounds = single
+	}
+	caches := rounds.Caches()
 	var hashStats HashStats
 	hashStats.Evals = make([]int64, len(plan.Hashers))
 
 	// Observability baselines: counters report per-run deltas even when
-	// the cache is long-lived (the Stream reuses one across queries).
+	// the caches are long-lived (the Stream and the sharded engine reuse
+	// theirs across queries). Rounds without a cache count their
+	// streamed evaluations in hashStats instead.
 	evalsTotal := func() int64 {
-		if cache != nil {
-			return cache.TotalEvals()
-		}
 		var t int64
+		for _, c := range caches {
+			t += c.TotalEvals()
+		}
 		for _, n := range hashStats.Evals {
 			t += n
 		}
 		return t
 	}
-	var baseHits, baseMisses, baseElems int64
-	if cache != nil {
-		baseHits, baseMisses = cache.Lookups()
-		baseElems = cache.SigElemsHashed()
-	}
+	baseHits, baseMisses, baseElems := cacheLookups(caches)
 	// hashRound runs one transitive hashing round under a StageHash
 	// span, feeding both Stats (wall/work/rounds) and the sink's
 	// counters — the span timer is the single source of the round's
@@ -306,7 +386,7 @@ func FilterIncremental(ds *record.Dataset, plan *Plan, opts Options, emit func(C
 		prevColl, prevMerges := hashStats.Collisions, hashStats.Merges
 		prevEvals := evalsTotal()
 		ht := startStage(obs.StageHash)
-		subs := ApplyHashOpt(ds, plan, hf, cache, recs, hopts, &hashStats)
+		subs := rounds.HashRound(recs, hf, &hashStats)
 		ht.Workers = workers
 		ht.Items = len(recs)
 		ht.Work = hashStats.Work - prevWork
@@ -319,10 +399,6 @@ func FilterIncremental(ds *record.Dataset, plan *Plan, opts Options, emit func(C
 	}
 
 	// Round 0: H_1 over the whole dataset (Algorithm 1 line 1).
-	all := make([]int32, ds.Len())
-	for i := range all {
-		all[i] = int32(i)
-	}
 	bins := ppt.NewBins[*workCluster](ds.Len())
 	round := 0
 	emitted := 0
@@ -337,11 +413,7 @@ func FilterIncremental(ds *record.Dataset, plan *Plan, opts Options, emit func(C
 		})
 	}
 	if ds.Len() > 0 {
-		if opts.Capture != nil {
-			hopts.Capture = opts.Capture.beginCapture(ds, plan, all)
-		}
 		first := hashRound(all, plan.Funcs[0])
-		hopts.Capture = nil // only round 1 covers the whole dataset
 		stats.ModelCost += plan.Cost.StepCost(plan.Funcs[0], nil) * float64(ds.Len())
 		for _, recs := range first {
 			bins.Add(&workCluster{recs: recs, level: 1, final: L == 1})
@@ -381,6 +453,7 @@ func FilterIncremental(ds *record.Dataset, plan *Plan, opts Options, emit func(C
 			subs, pst := ApplyPairwiseOpt(ds, plan.Rule, c.recs, popts)
 			stats.PairwiseRounds++
 			stats.PairsComputed += pst.PairsComputed
+			stats.PairwiseMerges += pst.Merges
 			stats.PrefilterRejects += pst.PrefilterRejects
 			stats.EarlyExits += pst.EarlyExits
 			stats.PairwiseWall += pst.Wall
@@ -411,12 +484,11 @@ func FilterIncremental(ds *record.Dataset, plan *Plan, opts Options, emit func(C
 			subs := hashRound(c.recs, next)
 			obs.Count(opts.Obs, obs.CtrRehashRounds, 1)
 			// Incremental computation pays only for the prefix
-			// extension H_t -> H_{t+1}; with the cache disabled every
-			// base hash of H_{t+1} is recomputed from scratch and the
-			// model charges the full cost (StepCost with a nil
-			// predecessor).
+			// extension H_t -> H_{t+1}; without a cache every base hash
+			// of H_{t+1} is recomputed from scratch and the model
+			// charges the full cost (StepCost with a nil predecessor).
 			var from *HashFunc
-			if cache != nil {
+			if len(caches) > 0 {
 				from = plan.Funcs[t-1]
 			}
 			stats.ModelCost += plan.Cost.StepCost(next, from) * float64(len(c.recs))
@@ -426,19 +498,18 @@ func FilterIncremental(ds *record.Dataset, plan *Plan, opts Options, emit func(C
 			notify("hash", len(c.recs), t+1)
 		}
 	}
-	if cache != nil {
-		stats.HashEvals = cache.HashEvals()
-		hits, misses := cache.Lookups()
-		obs.Count(opts.Obs, obs.CtrCacheHits, hits-baseHits)
-		obs.Count(opts.Obs, obs.CtrCacheMisses, misses-baseMisses)
-		obs.Count(opts.Obs, obs.CtrSigElemsHashed, cache.SigElemsHashed()-baseElems)
-	} else {
-		// Streaming runs (DisableHashCache) did real hashing work too:
-		// the per-worker scratches counted every streamed base-hash
-		// evaluation.
-		stats.HashEvals = hashStats.Evals
-		obs.Count(opts.Obs, obs.CtrSigElemsHashed, hashStats.SigElems)
+	hits, misses, elems := cacheLookups(caches)
+	obs.Count(opts.Obs, obs.CtrCacheHits, hits-baseHits)
+	obs.Count(opts.Obs, obs.CtrCacheMisses, misses-baseMisses)
+	obs.Count(opts.Obs, obs.CtrSigElemsHashed, elems-baseElems+hashStats.SigElems)
+	// HashEvals is cumulative per hasher: the caches' lifetime counts
+	// or, without a cache, the evaluations this run streamed.
+	for _, c := range caches {
+		for h, n := range c.HashEvals() {
+			hashStats.Evals[h] += n
+		}
 	}
+	stats.HashEvals = hashStats.Evals
 	stats.HashWork = hashStats.Work
 	// The capture's finishing work (bucket runs, kernel prepare) is part
 	// of the run: it counts in Elapsed and the filter span.
@@ -453,4 +524,16 @@ func FilterIncremental(ds *record.Dataset, plan *Plan, opts Options, emit func(C
 	runTimer.Work = runTimer.Elapsed() - (stats.HashWall + stats.PairwiseWall) + (stats.HashWork + stats.PairwiseWork)
 	stats.Elapsed = runTimer.End()
 	return nil
+}
+
+// cacheLookups sums the caches' cumulative lookup and element-hash
+// counters.
+func cacheLookups(caches []*Cache) (hits, misses, elems int64) {
+	for _, c := range caches {
+		h, m := c.Lookups()
+		hits += h
+		misses += m
+		elems += c.SigElemsHashed()
+	}
+	return hits, misses, elems
 }

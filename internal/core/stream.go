@@ -113,8 +113,9 @@ type Stream struct {
 // FilterFunc is a pluggable filtering engine for a Stream: one
 // filtering pass over the stream's dataset with the stream's current
 // plan. Implementations must honor the core.Options semantics they
-// support and return results equivalent to Filter (the sharded engine
-// returns byte-identical ones). The Cache, HashPool and Capture fields
+// support and return results equivalent to Filter. The sharded engine
+// runs this package's loop (FilterRounds) with its own HashRounder and
+// returns byte-identical ones. The Cache, HashPool and Capture fields
 // of opts are nil when a Stream drives a custom engine: the engine
 // owns its caching state across calls.
 type FilterFunc func(ds *record.Dataset, plan *Plan, opts Options) (*Result, error)
@@ -163,16 +164,17 @@ func (s *Stream) SetHashMinParallel(n int) { s.hashMin = n }
 func (s *Stream) SetObs(sink obs.Sink) { s.sink = sink }
 
 // SetEngine replaces the stream's built-in filtering engine with fn
-// (internal/shard attaches its sharded engine this way; the import
-// points from shard to core, so the hook lives here). A nil fn
-// restores the built-in engine.
+// (internal/shard attaches its sharded engine this way: fn runs
+// FilterRounds with the engine's hash rounds; the import points from
+// shard to core, so the hook lives here). A nil fn restores the
+// built-in engine.
 //
 // With a custom engine attached the stream stops maintaining its own
 // signature cache and point-query index: the engine owns signature
 // state (and must keep it consistent with the growing dataset), and
-// Query returns ErrNoQueryIndex — point lookups need the built-in
-// engine's bucket capture. Plan design, growth-triggered re-planning
-// and checkpoint hooks behave unchanged.
+// Query returns ErrNoQueryIndex — point lookups need the single
+// engine's round-one bucket capture. Plan design, growth-triggered
+// re-planning and checkpoint hooks behave unchanged.
 func (s *Stream) SetEngine(fn FilterFunc) {
 	s.engine = fn
 	if fn != nil {

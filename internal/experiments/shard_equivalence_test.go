@@ -27,14 +27,29 @@ func stripBoundaryCounters(ctrs map[string]int64) map[string]int64 {
 	return out
 }
 
+// earlyStop runs an incremental filter whose emit stops it after the
+// second cluster, returning what it emitted and its stats.
+func earlyStop(run func(emit func(core.Cluster) bool, stats *core.Stats) error) ([]core.Cluster, core.Stats, error) {
+	var got []core.Cluster
+	var st core.Stats
+	err := run(func(c core.Cluster) bool {
+		got = append(got, c)
+		return len(got) < 2
+	}, &st)
+	return got, st, err
+}
+
 // TestShardedEquivalenceOnBuilders is the scale-out counterpart of the
 // parallel-hash equivalence suite: on a slice of each paper dataset
 // builder it runs the sharded engine (internal/shard) against the
 // single engine at shards {1, 2, 8} x workers {1, 4}. Clusters, output, HashEvals,
-// PairsComputed, ModelCost and every shared observability counter must
-// be byte-identical — partitioning may only change where work runs,
-// never what the filter computes. The pairwise stage is pinned serial
-// (as in the sibling suites) so counter equality is exact.
+// PairsComputed, ModelCost, the round and kernel counts, the OnRound
+// sequence and every shared observability counter must be
+// byte-identical — partitioning may only change where work runs, never
+// what the filter computes. Each row also stops an incremental run
+// after its second cluster, which must emit and count the same as the
+// single engine's. The pairwise stage is pinned serial (as in the
+// sibling suites) so counter equality is exact.
 func TestShardedEquivalenceOnBuilders(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full filter sweeps")
@@ -54,22 +69,36 @@ func TestShardedEquivalenceOnBuilders(t *testing.T) {
 		}
 		for _, workers := range []int{1, 4} {
 			col := obs.NewCollector()
+			var singleRounds []core.RoundInfo
 			single, err := core.Filter(b.Dataset, plan, core.Options{
 				K: 5, Workers: workers,
 				PairwiseMinPairs: 1 << 62,
 				Obs:              col,
+				OnRound:          func(ri core.RoundInfo) { singleRounds = append(singleRounds, ri) },
 			})
 			if err != nil {
 				t.Fatalf("%s/workers=%d: single engine: %v", name, workers, err)
 			}
 			singleCtrs := col.Counters()
+			incOpts := core.Options{K: 5, Workers: workers, PairwiseMinPairs: 1 << 62}
+			wantEarly, wantEarlyStats, err := earlyStop(func(emit func(core.Cluster) bool, st *core.Stats) error {
+				return core.FilterIncremental(b.Dataset, plan, incOpts, emit, st)
+			})
+			if err != nil {
+				t.Fatalf("%s/workers=%d: single engine, early stop: %v", name, workers, err)
+			}
+			if len(wantEarly) != 2 {
+				t.Fatalf("%s/workers=%d: single engine emitted %d clusters before stopping, want 2", name, workers, len(wantEarly))
+			}
 			for _, shards := range []int{1, 2, 8} {
 				label := fmt.Sprintf("%s/workers=%d/shards=%d", name, workers, shards)
 				scol := obs.NewCollector()
+				var shardedRounds []core.RoundInfo
 				sharded, err := shard.Filter(b.Dataset, plan, shard.Options{
 					Shards: shards, K: 5, Workers: workers,
 					PairwiseMinPairs: 1 << 62,
 					Obs:              scol,
+					OnRound:          func(ri core.RoundInfo) { shardedRounds = append(shardedRounds, ri) },
 				})
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
@@ -91,6 +120,38 @@ func TestShardedEquivalenceOnBuilders(t *testing.T) {
 				}
 				if got := stripBoundaryCounters(scol.Counters()); !reflect.DeepEqual(got, singleCtrs) {
 					t.Errorf("%s: obs counters differ:\n  sharded: %v\n  single:  %v", label, got, singleCtrs)
+				}
+				if !reflect.DeepEqual(shardedRounds, singleRounds) {
+					t.Errorf("%s: OnRound sequences differ:\n  sharded: %v\n  single:  %v", label, shardedRounds, singleRounds)
+				}
+				gs, ws := sharded.Stats, single.Stats
+				if gs.HashRounds != ws.HashRounds || gs.PairwiseRounds != ws.PairwiseRounds {
+					t.Errorf("%s: rounds hash %d pairwise %d, single %d and %d", label, gs.HashRounds, gs.PairwiseRounds, ws.HashRounds, ws.PairwiseRounds)
+				}
+				if gs.PrefilterRejects != ws.PrefilterRejects || gs.EarlyExits != ws.EarlyExits {
+					t.Errorf("%s: kernel prefilter rejects %d early exits %d, single %d and %d",
+						label, gs.PrefilterRejects, gs.EarlyExits, ws.PrefilterRejects, ws.EarlyExits)
+				}
+				if gs.Workers != ws.Workers {
+					t.Errorf("%s: Workers %d, single %d", label, gs.Workers, ws.Workers)
+				}
+
+				eng, err := shard.New(b.Dataset, shard.Options{Shards: shards})
+				if err != nil {
+					t.Fatal(err)
+				}
+				gotEarly, gotEarlyStats, err := earlyStop(func(emit func(core.Cluster) bool, st *core.Stats) error {
+					return eng.FilterIncremental(plan, incOpts, emit, st)
+				})
+				if err != nil {
+					t.Fatalf("%s: early stop: %v", label, err)
+				}
+				if !reflect.DeepEqual(gotEarly, wantEarly) {
+					t.Errorf("%s: early-stopped clusters differ from single engine", label)
+				}
+				if gotEarlyStats.HashRounds != wantEarlyStats.HashRounds || gotEarlyStats.PairwiseRounds != wantEarlyStats.PairwiseRounds {
+					t.Errorf("%s: early stop rounds hash %d pairwise %d, single %d and %d", label,
+						gotEarlyStats.HashRounds, gotEarlyStats.PairwiseRounds, wantEarlyStats.HashRounds, wantEarlyStats.PairwiseRounds)
 				}
 			}
 		}

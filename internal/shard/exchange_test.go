@@ -206,9 +206,7 @@ func TestProbeExchangeMatchesMapOracle(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					e.sync()
-					e.ensureCaches(plan)
-					sem := make(chan struct{}, workers)
+					e.begin(plan, core.Options{Workers: workers})
 					without := func(skip int) []int32 {
 						var recs []int32
 						for id := 0; id < n; id++ {
@@ -220,7 +218,7 @@ func TestProbeExchangeMatchesMapOracle(t *testing.T) {
 					}
 					for round, recs := range [][]int32{without(-1), without(0), without(1)} {
 						before := e.boundary
-						got, _ := e.shardedRound(recs, plan, hf, sem)
+						got := e.HashRound(recs, hf, &core.HashStats{})
 						gotB := BoundaryStats{
 							Keys:   e.boundary.Keys - before.Keys,
 							Pairs:  e.boundary.Pairs - before.Pairs,

@@ -5,15 +5,18 @@
 // per-shard partitions into one global partition through a
 // deterministic boundary-bucket exchange.
 //
-// The design keeps Algorithm 1's control loop global and shards only
-// the data-parallel work inside it. Every cost-model decision (hash
-// further vs. verify pairwise vs. emit) depends on global cluster
+// Algorithm 1's control loop is not here. Every cost-model decision
+// (hash further vs. verify pairwise vs. emit) depends on global cluster
 // sizes, so per-shard adaptive loops would diverge from the
-// single-engine run; the global loop instead pops the same clusters in
-// the same order as core.FilterIncremental, and each hashing round is
-// executed as P concurrent serial scans (core.ApplyHashExport) over
-// the round's records, split by owning shard. Records are owned by
-// shard SplitMix64(record id) % P for the engine's lifetime.
+// single-engine run. Instead Engine implements core.HashRounder, the
+// seam of core's one loop (core.FilterRounds, which
+// core.FilterIncremental runs): the loop pops the same clusters in the
+// same order on both engines, and only its hashing rounds come here.
+// Each is executed as P concurrent serial scans (core.ApplyHashExport)
+// over the round's records, split by owning shard. Pairwise
+// verification rounds stay in the loop, on global record IDs. Records
+// are owned by shard SplitMix64(record id) % P for the engine's
+// lifetime.
 //
 // Reconciliation is a probe exchange over the shards' own bucket
 // tables. Each scan keeps its tables for the round and reports one
@@ -30,16 +33,13 @@
 // counters possible. Which edge joins two components does not matter:
 // component counts are order-independent, and core.CollectClusters
 // emits the canonical cluster order, so output is byte-identical to
-// the single engine. Pairwise verification rounds need no
-// reconciliation at all: they run on global record IDs through the
-// unchanged core.ApplyPairwiseOpt.
+// the single engine.
 package shard
 
 import (
 	"fmt"
 	"reflect"
 	"runtime"
-	"sort"
 	"sync"
 	"time"
 
@@ -57,12 +57,12 @@ func Owner(id int32, shards int) int {
 	return int(xhash.SplitMix64(uint64(id)) % uint64(shards))
 }
 
-// Options controls a sharded filtering run. The exported knobs mirror
-// core.Options where they exist there; ablation switches
-// (DisableHashCache, DisableTransitiveSkip) and query capture are
-// deliberately absent — ablations are single-engine experiments, and
-// point-query indexes are per-bucket state the sharded engine does not
-// retain.
+// Options configures an engine: Shards fixes its partition count, and
+// the remaining fields are Engine.Filter's run options, which it hands
+// to core's loop as the core.Options fields of the same names.
+// FilterIncremental takes core.Options directly. Ablation switches and
+// query capture are absent: ablations are single-engine experiments,
+// and the sharded rounds retain no per-bucket point-query state.
 type Options struct {
 	// Shards is the partition count P. 1 is valid (a degenerate but
 	// fully functional single-shard engine, used by the differential
@@ -94,15 +94,8 @@ type Options struct {
 	OnRound func(core.RoundInfo)
 }
 
-func (o Options) khat() int {
-	if o.ReturnClusters > o.K {
-		return o.ReturnClusters
-	}
-	return o.K
-}
-
 // ShardStats describes one shard's work during the engine's most
-// recent Filter run.
+// recent run (Filter or FilterIncremental).
 type ShardStats struct {
 	// Shard is the shard index (0-based).
 	Shard int `json:"shard"`
@@ -128,7 +121,7 @@ type ShardStats struct {
 }
 
 // BoundaryStats describes the cross-shard reconcile work of the most
-// recent Filter run.
+// recent run.
 type BoundaryStats struct {
 	// Keys counts distinct (table, bucket key) pairs populated by two
 	// or more shards.
@@ -197,21 +190,27 @@ type Engine struct {
 	// descs guards per-shard cache validity across replans (same
 	// contract as core.Stream: caches survive a replan iff the hasher
 	// descriptors are unchanged).
-	descs      any
-	numHashers int
+	descs  any
+	caches []*core.Cache
+
+	// plan, sink and sem are the current run's plan, stats sink and
+	// concurrency bound (Workers slots), set by begin for HashRound.
+	plan *core.Plan
+	sink obs.Sink
+	sem  chan struct{}
 
 	boundary BoundaryStats
-	// pairwiseMerges counts the most recent run's merges by the
-	// pairwise verification rounds (which run on global record IDs and
-	// need no reconciliation). Together with the per-shard hash merges
+	// pairwiseMerges is the most recent run's Stats.PairwiseMerges: the
+	// merges of the pairwise verification rounds, which run in core's
+	// loop on global record IDs. Together with the per-shard hash merges
 	// and the reconcile merges it accounts for the run's full merges
 	// counter.
 	pairwiseMerges int64
 }
 
 // New creates a sharded engine over ds with opts.Shards partitions.
-// The dataset may keep growing afterwards: each Filter call
-// assimilates new records into their owner shards first.
+// The dataset may keep growing afterwards: each run assimilates new
+// records into their owner shards first.
 func New(ds *record.Dataset, opts Options) (*Engine, error) {
 	if opts.Shards < 1 {
 		return nil, fmt.Errorf("shard: Shards = %d, want >= 1", opts.Shards)
@@ -236,7 +235,7 @@ func (e *Engine) SetOptions(opts Options) error {
 	return nil
 }
 
-// PerShard reports per-shard statistics of the most recent Filter run
+// PerShard reports per-shard statistics of the most recent run
 // (nil before the first run).
 func (e *Engine) PerShard() []ShardStats {
 	out := make([]ShardStats, len(e.shards))
@@ -251,8 +250,7 @@ func (e *Engine) PerShard() []ShardStats {
 	return out
 }
 
-// Boundary reports the reconcile statistics of the most recent Filter
-// run.
+// Boundary reports the reconcile statistics of the most recent run.
 func (e *Engine) Boundary() BoundaryStats { return e.boundary }
 
 // PairwiseMerges reports the most recent run's parent-pointer merges
@@ -284,28 +282,36 @@ func (e *Engine) sync() {
 // run's drops the caches, mirroring core.Stream.ensurePlan.
 func (e *Engine) ensureCaches(plan *core.Plan) {
 	fresh := e.descs == nil || !reflect.DeepEqual(e.descs, plan.HasherDescs)
+	e.caches = e.caches[:0]
 	for _, s := range e.shards {
 		if fresh || s.cache == nil {
 			s.cache = core.NewCache(s.lds, len(plan.Hashers))
 		} else {
 			s.cache.Grow(s.lds.Len())
 		}
+		e.caches = append(e.caches, s.cache)
 	}
 	e.descs = plan.HasherDescs
-	e.numHashers = len(plan.Hashers)
 }
 
-// workCluster mirrors core's in-flight cluster representation so the
-// global loop's bin behavior (insertion order, size classes, pop
-// tie-breaks) is identical to the single engine's.
-type workCluster struct {
-	recs  []int32
-	level int
-	final bool
-	byP   bool
+// begin readies the engine for one run of core's loop: new records go
+// to their owner shards, the caches follow the plan, the rounds get
+// opts's sink and at most opts.Workers concurrent shard scans and probe
+// workers (0 means GOMAXPROCS), and the per-run statistics restart.
+func (e *Engine) begin(plan *core.Plan, opts core.Options) {
+	e.sync()
+	e.ensureCaches(plan)
+	workers := opts.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	e.plan, e.sink, e.sem = plan, opts.Obs, make(chan struct{}, workers)
+	for _, s := range e.shards {
+		s.prevEvals = s.cache.TotalEvals()
+		s.stats = ShardStats{}
+	}
+	e.boundary = BoundaryStats{}
 }
-
-func (c *workCluster) Size() int { return len(c.recs) }
 
 // Filter runs Algorithm 1 over the sharded dataset and returns a
 // result byte-identical — clusters, output, stats, counters — to
@@ -321,201 +327,60 @@ func Filter(ds *record.Dataset, plan *core.Plan, opts Options) (*core.Result, er
 
 // Filter runs one sharded filtering pass with the engine's options.
 func (e *Engine) Filter(plan *core.Plan) (*core.Result, error) {
-	opts := e.opts
-	if opts.K < 1 {
-		return nil, fmt.Errorf("shard: K = %d, want >= 1", opts.K)
-	}
-	if opts.ReturnClusters < 0 {
-		return nil, fmt.Errorf("shard: ReturnClusters = %d, want >= 0", opts.ReturnClusters)
-	}
-	if len(plan.Funcs) == 0 {
-		return nil, fmt.Errorf("shard: plan has no hashing functions")
-	}
-	if err := plan.CompatibleWith(e.ds); err != nil {
-		return nil, err
-	}
-	e.sync()
-	e.ensureCaches(plan)
-
-	memSample := opts.MemSample && opts.Obs != nil
-	startStage := func(stage obs.Stage) obs.Timer {
-		if memSample {
-			return obs.StartStageMem(opts.Obs, stage)
-		}
-		return obs.StartStage(opts.Obs, stage)
-	}
-	runTimer := startStage(obs.StageFilter)
-	khat := opts.khat()
-	L := plan.L()
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	res := &core.Result{}
-	stats := &res.Stats
-	stats.Workers = workers
-	popts := core.PairwiseOptions{Workers: workers, MinPairs: opts.PairwiseMinPairs}
-
-	// Per-run baselines: the per-shard caches are long-lived, so the
-	// run's counters are deltas, exactly as in core.FilterIncremental.
-	evalsTotal := func() int64 {
-		var t int64
-		for _, s := range e.shards {
-			t += s.cache.TotalEvals()
-		}
-		return t
-	}
-	var baseHits, baseMisses, baseElems int64
-	for _, s := range e.shards {
-		h, m := s.cache.Lookups()
-		baseHits += h
-		baseMisses += m
-		baseElems += s.cache.SigElemsHashed()
-		s.prevEvals = s.cache.TotalEvals()
-		s.stats = ShardStats{}
-	}
-	e.boundary = BoundaryStats{}
-	e.pairwiseMerges = 0
-	sem := make(chan struct{}, workers)
-
-	hashRound := func(recs []int32, hf *core.HashFunc) [][]int32 {
-		prevEvals := evalsTotal()
-		ht := startStage(obs.StageHash)
-		subs, work := e.shardedRound(recs, plan, hf, sem)
-		ht.Workers = workers
-		ht.Items = len(recs)
-		ht.Work = work
-		stats.HashWall += ht.End()
-		stats.HashWork += work
-		stats.HashRounds++
-		obs.Count(opts.Obs, obs.CtrHashEvals, evalsTotal()-prevEvals)
-		return subs
-	}
-
-	all := make([]int32, e.ds.Len())
-	for i := range all {
-		all[i] = int32(i)
-	}
-	bins := ppt.NewBins[*workCluster](e.ds.Len())
-	round := 0
-	emitted := 0
-	notify := func(action string, clusterSize, level int) {
-		if opts.OnRound == nil {
-			return
-		}
-		round++
-		opts.OnRound(core.RoundInfo{
-			Round: round, ClusterSize: clusterSize, Action: action,
-			Level: level, Emitted: emitted, Pending: bins.Len(),
-		})
-	}
-	if e.ds.Len() > 0 {
-		first := hashRound(all, plan.Funcs[0])
-		stats.ModelCost += plan.Cost.StepCost(plan.Funcs[0], nil) * float64(e.ds.Len())
-		for _, recs := range first {
-			bins.Add(&workCluster{recs: recs, level: 1, final: L == 1})
-		}
-		notify("hash", e.ds.Len(), 1)
-	}
-	for emitted < khat {
-		c, ok := bins.PopLargest()
-		if !ok {
-			break
-		}
-		if c.final {
-			out := core.Cluster{Records: c.recs, ByPairwise: c.byP}
-			if !c.byP {
-				out.Level = c.level
-			}
-			emitted++
-			obs.Count(opts.Obs, obs.CtrClustersEmitted, 1)
-			notify("final", len(c.recs), out.Level)
-			res.Clusters = append(res.Clusters, out)
-			continue
-		}
-		t := c.level
-		if plan.Cost.PreferPairwise(plan, t, len(c.recs)) {
-			var pmem obs.MemSnapshot
-			if memSample {
-				pmem = obs.TakeMemSnapshot()
-			}
-			subs, pst := core.ApplyPairwiseOpt(e.ds, plan.Rule, c.recs, popts)
-			e.pairwiseMerges += pst.Merges
-			stats.PairwiseRounds++
-			stats.PairsComputed += pst.PairsComputed
-			stats.PrefilterRejects += pst.PrefilterRejects
-			stats.EarlyExits += pst.EarlyExits
-			stats.PairwiseWall += pst.Wall
-			stats.PairwiseWork += pst.Work
-			stats.ModelCost += float64(pst.PairsComputed) * plan.Cost.CostP
-			if opts.Obs != nil {
-				span := obs.Span{
-					Stage: obs.StagePairwise, Wall: pst.Wall, Work: pst.Work,
-					Workers: pst.Workers, Waves: pst.Waves, Items: len(c.recs),
-				}
-				if pmem.Valid() {
-					span.Mem, span.MemSampled = pmem.Delta(), true
-				}
-				opts.Obs.Span(span)
-				opts.Obs.Count(obs.CtrPairComparisons, pst.PairsComputed)
-				opts.Obs.Count(obs.CtrMerges, pst.Merges)
-				obs.Count(opts.Obs, obs.CtrKernelPrefilterRejects, pst.PrefilterRejects)
-				obs.Count(opts.Obs, obs.CtrKernelEarlyExits, pst.EarlyExits)
-			}
-			for _, recs := range subs {
-				bins.Add(&workCluster{recs: recs, final: true, byP: true})
-			}
-			notify("pairwise", len(c.recs), t)
-		} else {
-			next := plan.Funcs[t]
-			subs := hashRound(c.recs, next)
-			obs.Count(opts.Obs, obs.CtrRehashRounds, 1)
-			// The per-shard caches realize incremental computation just
-			// like the single engine's global cache: charge only the
-			// H_t -> H_{t+1} prefix extension.
-			stats.ModelCost += plan.Cost.StepCost(next, plan.Funcs[t-1]) * float64(len(c.recs))
-			for _, recs := range subs {
-				bins.Add(&workCluster{recs: recs, level: t + 1, final: t+1 == L})
-			}
-			notify("hash", len(c.recs), t+1)
-		}
-	}
-	stats.HashEvals = make([]int64, e.numHashers)
-	var hits, misses, elems int64
-	for _, s := range e.shards {
-		for h, n := range s.cache.HashEvals() {
-			stats.HashEvals[h] += n
-		}
-		sh, sm := s.cache.Lookups()
-		hits += sh
-		misses += sm
-		elems += s.cache.SigElemsHashed()
-		s.stats.HashEvals = s.cache.TotalEvals() - s.prevEvals
-	}
-	obs.Count(opts.Obs, obs.CtrCacheHits, hits-baseHits)
-	obs.Count(opts.Obs, obs.CtrCacheMisses, misses-baseMisses)
-	obs.Count(opts.Obs, obs.CtrSigElemsHashed, elems-baseElems)
-	runTimer.Workers = workers
-	runTimer.Items = e.ds.Len()
-	runTimer.Work = runTimer.Elapsed() - (stats.HashWall + stats.PairwiseWall) + (stats.HashWork + stats.PairwiseWork)
-	stats.Elapsed = runTimer.End()
-	for _, c := range res.Clusters {
-		res.Output = append(res.Output, c.Records...)
-	}
-	sort.Slice(res.Output, func(i, j int) bool { return res.Output[i] < res.Output[j] })
-	return res, nil
+	o := e.opts
+	return e.collect(plan, core.Options{
+		K: o.K, ReturnClusters: o.ReturnClusters, Workers: o.Workers,
+		PairwiseMinPairs: o.PairwiseMinPairs, MemSample: o.MemSample,
+		Obs: o.Obs, OnRound: o.OnRound,
+	})
 }
 
-// shardedRound executes one transitive hashing round: partition the
-// round's records by owner, hash every shard's slice concurrently
-// (each a serial ApplyHashExport against the shard's own cache and
-// pool), then reconcile into one global partition over the round's
-// records. The returned clusters hold global record IDs in the same
-// canonical order core.ApplyHashOpt produces; work is the round's
-// cumulative busy time (concurrent shard scans and boundary probes
-// summed, sequential partitioning and forest work counted once).
-func (e *Engine) shardedRound(recs []int32, plan *core.Plan, hf *core.HashFunc, sem chan struct{}) ([][]int32, time.Duration) {
+// collect runs FilterIncremental to completion into a Result.
+func (e *Engine) collect(plan *core.Plan, opts core.Options) (*core.Result, error) {
+	return core.Collect(func(emit func(core.Cluster) bool, stats *core.Stats) error {
+		return e.FilterIncremental(plan, opts, emit, stats)
+	})
+}
+
+// FilterIncremental runs core's Algorithm-1 loop (core.FilterRounds)
+// over the sharded dataset with the engine as its hash rounds: clusters
+// stream to emit as in core.FilterIncremental, and clusters, stats and
+// counters are byte-identical to the single engine's with its hash
+// cache on. The engine's own Options are not consulted. Of opts, the
+// single engine's round knobs (Cache, HashPool, HashShards,
+// HashMinParallel, DisableHashCache) do not apply, and Capture is an
+// error. stats may be nil.
+func (e *Engine) FilterIncremental(plan *core.Plan, opts core.Options, emit func(core.Cluster) bool, stats *core.Stats) error {
+	e.begin(plan, opts)
+	if stats == nil {
+		stats = &core.Stats{}
+	}
+	err := core.FilterRounds(e.ds, plan, opts, e, emit, stats)
+	for _, s := range e.shards {
+		s.stats.HashEvals = s.cache.TotalEvals() - s.prevEvals
+	}
+	e.pairwiseMerges = stats.PairwiseMerges
+	return err
+}
+
+// Caches implements core.HashRounder: the shards' signature caches,
+// in shard order.
+func (e *Engine) Caches() []*core.Cache { return e.caches }
+
+// HashRound implements core.HashRounder: partition the round's records
+// by owner, hash every shard's slice concurrently (each a serial
+// ApplyHashExport against the shard's own cache and pool), then
+// reconcile into one global partition over the round's records. The
+// returned clusters hold global record IDs in the same canonical order
+// core.ApplyHashOpt produces. st gains the round's busy time
+// (concurrent shard scans and boundary probes summed, sequential
+// partitioning and forest work counted once), its collisions
+// (shard-local plus boundary pairs) and its merges (shard-local plus
+// reconcile), which is exactly what the single engine counts. It is
+// valid only inside a run FilterIncremental began.
+func (e *Engine) HashRound(recs []int32, hf *core.HashFunc, st *core.HashStats) [][]int32 {
 	start := time.Now()
+	plan, sem := e.plan, e.sem
 	numTables := len(hf.Tables)
 	for _, s := range e.shards {
 		s.lrecs = s.lrecs[:0]
@@ -573,8 +438,8 @@ func (e *Engine) shardedRound(recs []int32, plan *core.Plan, hf *core.HashFunc, 
 		roundMerges += s.roundMerges
 		s.stats.RoundRecords += int64(len(s.lrecs))
 		s.stats.Busy += s.busy
-		if e.opts.Obs != nil {
-			e.opts.Obs.Span(obs.Span{
+		if e.sink != nil {
+			e.sink.Span(obs.Span{
 				Stage: obs.StageShard, Wall: s.busy, Work: s.busy,
 				Workers: 1, Items: len(s.lrecs),
 			})
@@ -608,7 +473,7 @@ func (e *Engine) shardedRound(recs []int32, plan *core.Plan, hf *core.HashFunc, 
 			}
 		}
 		probeStart := time.Now()
-		chunks := e.probeBoundary(sem)
+		chunks := e.probeBoundary()
 		probeWall = time.Since(probeStart)
 		for i := range chunks {
 			c := &chunks[i]
@@ -634,19 +499,19 @@ func (e *Engine) shardedRound(recs []int32, plan *core.Plan, hf *core.HashFunc, 
 	e.boundary.Merges += reconcileMerges
 	e.boundary.Wall += reconWall
 
+	obs.Count(e.sink, obs.CtrBoundaryKeys, boundaryKeys)
+	obs.Count(e.sink, obs.CtrBoundaryPairs, boundaryPairs)
+	obs.Count(e.sink, obs.CtrReconcileMerges, reconcileMerges)
+
 	// Counter identities (see the package comment): shard-local
 	// collisions plus boundary pairs equal the single engine's bucket
 	// collisions, shard-local merges plus reconcile merges its merges.
-	obs.Count(e.opts.Obs, obs.CtrBucketCollisions, roundColl+boundaryPairs)
-	obs.Count(e.opts.Obs, obs.CtrMerges, roundMerges+reconcileMerges)
-	obs.Count(e.opts.Obs, obs.CtrBoundaryKeys, boundaryKeys)
-	obs.Count(e.opts.Obs, obs.CtrBoundaryPairs, boundaryPairs)
-	obs.Count(e.opts.Obs, obs.CtrReconcileMerges, reconcileMerges)
-
 	// Work: concurrent shard scans and probes by busy time, everything
 	// else once.
-	work := time.Since(start) - parWall - probeWall + busySum + probeBusy
-	return subs, work
+	st.Work += time.Since(start) - parWall - probeWall + busySum + probeBusy
+	st.Collisions += roundColl + boundaryPairs
+	st.Merges += roundMerges + reconcileMerges
+	return subs
 }
 
 // boundaryEdge joins two round positions: a holds a bucket key in a
@@ -665,10 +530,11 @@ type probeChunk struct {
 }
 
 // probeBoundary splits every shard s >= 1's bucket representatives into
-// cap(sem) chunks and probes them concurrently, at most cap(sem) in
+// cap(e.sem) chunks and probes them concurrently, at most cap(e.sem) in
 // flight, into the kept tables of the lower shards. The chunks come
 // back in (shard, chunk) order.
-func (e *Engine) probeBoundary(sem chan struct{}) []probeChunk {
+func (e *Engine) probeBoundary() []probeChunk {
+	sem := e.sem
 	var chunks []probeChunk
 	for si := 1; si < len(e.shards); si++ {
 		reps := e.shards[si].reps
