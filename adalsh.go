@@ -203,17 +203,13 @@ type Config struct {
 	// paper's default.
 	Sequence SequenceConfig
 	// Workers is the worker-pool size for the parallel stages (the
-	// pairwise verification of candidate clusters, the bucket-key
-	// precompute of large hashing rounds, and their sharded bucket
-	// insertion). 0 uses every CPU (runtime.GOMAXPROCS); 1 forces the
-	// serial paths. The filtering output is identical for every value —
-	// only wall-clock time and the Stats wall/work split change.
+	// pairwise verification of candidate clusters, and the bucket keys
+	// and whole-table bucket insertion of large hashing rounds, up to
+	// one worker per hash table). 0 uses every CPU
+	// (runtime.GOMAXPROCS); 1 forces the serial paths. The filtering
+	// output is identical for every value — only wall-clock time and
+	// the Stats wall/work split change.
 	Workers int
-	// HashShards is the number of bucket-map shards of the parallel
-	// hash stage; 0 derives it from Workers. The output is identical
-	// for every value — tune it only when profiling shows shard-map
-	// contention or imbalance.
-	HashShards int
 	// Shards > 1 runs the scale-out engine (internal/shard): records
 	// are partitioned across that many independent engine shards, each
 	// hashing its own records with its own signature cache, and a
@@ -238,8 +234,7 @@ type Config struct {
 func (c Config) options() core.Options {
 	return core.Options{
 		K: c.K, ReturnClusters: c.ReturnClusters,
-		Workers: c.Workers, HashShards: c.HashShards,
-		OnRound: c.OnRound, Obs: c.Obs,
+		Workers: c.Workers, OnRound: c.OnRound, Obs: c.Obs,
 	}
 }
 
@@ -344,10 +339,13 @@ func filterIncremental(ds *Dataset, plan *Plan, cfg Config, emit func(Cluster) b
 //
 // The clusters channel is closed when filtering completes or aborts;
 // the error channel then yields the terminal error (nil on success).
-// Abandoning the pipeline early leaks the filtering goroutine until it
-// finds the next cluster, so drain the channel or read it fully.
+// Both channels buffer everything the run can send — at most k-hat
+// clusters, and one error — so the filtering goroutine never blocks on
+// its consumer: abandoning the pipeline early costs the rest of the
+// run, after which the goroutine exits.
 func FilterPipeline(ds *Dataset, plan *Plan, cfg Config) (<-chan Cluster, <-chan error) {
-	clusters := make(chan Cluster)
+	khat := max(cfg.K, cfg.ReturnClusters)
+	clusters := make(chan Cluster, max(0, min(khat, ds.Len())))
 	errc := make(chan error, 1)
 	go func() {
 		defer close(clusters)
@@ -365,7 +363,7 @@ func FilterPipeline(ds *Dataset, plan *Plan, cfg Config) (<-chan Cluster, <-chan
 func FilterLSH(ds *Dataset, rule Rule, x int, cfg Config) (*Result, error) {
 	return blocking.LSHX(ds, rule, blocking.LSHXOptions{
 		X: x, K: cfg.K, ReturnClusters: cfg.ReturnClusters,
-		Workers: cfg.Workers, HashShards: cfg.HashShards, Seed: cfg.Sequence.Seed,
+		Workers: cfg.Workers, Seed: cfg.Sequence.Seed,
 		Obs: cfg.Obs,
 	})
 }

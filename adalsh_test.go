@@ -2,7 +2,9 @@ package adalsh_test
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
+	"time"
 
 	adalsh "github.com/topk-er/adalsh"
 	"github.com/topk-er/adalsh/internal/xhash"
@@ -190,6 +192,33 @@ func TestShardedIncrementalModes(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("FilterPipeline", got, col)
+}
+
+// TestFilterPipelineAbandonedExits: a consumer that reads one cluster
+// and walks away must not strand the filtering goroutine. Five
+// pipelines are abandoned after their first cluster; the goroutine
+// count must return to its baseline.
+func TestFilterPipelineAbandonedExits(t *testing.T) {
+	ds := smallDataset([]int{12, 8, 5, 3}, 31)
+	rule := adalsh.MatchThreshold(0, adalsh.Jaccard(), 0.5)
+	plan, err := adalsh.NewPlan(ds, rule, adalsh.SequenceConfig{Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := runtime.NumGoroutine()
+	for i := 0; i < 5; i++ {
+		clusters, _ := adalsh.FilterPipeline(ds, plan, adalsh.Config{K: 3, Workers: 1})
+		if _, ok := <-clusters; !ok {
+			t.Fatal("pipeline closed before its first cluster")
+		}
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines 10 s after abandoning 5 pipelines, baseline %d", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
 }
 
 func TestRecoverPublic(t *testing.T) {

@@ -72,15 +72,15 @@ func TestAllocBudgetHashHotLoop(t *testing.T) {
 	})
 	check("serial hash round", res.AllocsPerOp(), serialHashAllocBudget)
 
-	// Sharded parallel round: worker dispatch adds goroutine and
-	// bookkeeping allocations, but tables, key matrix, scratches and
-	// edge lists all come from the pool.
+	// Parallel round: worker dispatch adds goroutine and bookkeeping
+	// allocations, and the key matrix is allocated per round, but
+	// tables, scratches and edge lists all come from the pool.
 	res = testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			var st core.HashStats
 			core.ApplyHashOpt(bench.Dataset, plan, plan.Funcs[0], nil, recs,
-				core.HashOptions{Workers: 4, Shards: 4, MinParallel: 1, Pool: pool}, &st)
+				core.HashOptions{Workers: 4, MinParallel: 1, Pool: pool}, &st)
 		}
 	})
 	check("parallel hash round", res.AllocsPerOp(), parallelHashAllocBudget)

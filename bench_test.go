@@ -500,14 +500,18 @@ func hashBenchDataset(n int) *record.Dataset {
 	return ds
 }
 
-// BenchmarkHashParallel measures the sharded hash stage (streaming
-// ApplyHashOpt, round one of Algorithm 1) across scales and worker
-// counts. The workers=1 rows are the serial baseline; compare ns/op
-// within one scale for the parallel speedup (Work/Wall also splits in
-// HashStats). MinParallel is forced to 1 so every parallel row actually
-// runs the sharded pipeline regardless of input size. On a single-core
-// machine every row degenerates to the serial path's throughput plus
-// dispatch overhead.
+// BenchmarkHashParallel measures the hash stage (ApplyHashOpt) across
+// scales and worker counts. The cold rows stream round one with a nil
+// cache, so they time signature hashing together with insertion. The
+// synth10k "warm" rows first fill a cache with every level's
+// signatures, then time H_1 and H_L alone: bucket keys, whole-table
+// insertion and the forest, the round a warm TopK runs, also reported
+// per record. The workers=1 rows are the one-goroutine baseline;
+// compare ns/op within one scale for the parallel speedup (Work/Wall
+// also splits in HashStats). MinParallel is forced to 1 so every
+// parallel row actually fans out regardless of input size. On a
+// single-core machine every row degenerates to the serial throughput
+// plus dispatch overhead.
 func BenchmarkHashParallel(b *testing.B) {
 	p := provider()
 	workerSet := []int{1, 2, 4}
@@ -521,10 +525,11 @@ func BenchmarkHashParallel(b *testing.B) {
 		name string
 		ds   *record.Dataset
 		rule distance.Rule
+		warm bool
 	}{
-		{"spotsigs1x", sp1.Dataset, sp1.Rule},
-		{"spotsigs4x", sp4.Dataset, sp4.Rule},
-		{"synth10k", synth, distance.Threshold{Field: 0, Metric: distance.Jaccard{}, MaxDistance: 0.5}},
+		{"spotsigs1x", sp1.Dataset, sp1.Rule, false},
+		{"spotsigs4x", sp4.Dataset, sp4.Rule, false},
+		{"synth10k", synth, distance.Threshold{Field: 0, Metric: distance.Jaccard{}, MaxDistance: 0.5}, true},
 	}
 	for _, wl := range workloads {
 		plan, err := core.DesignPlan(wl.ds, wl.rule, core.SequenceConfig{Seed: 42})
@@ -535,8 +540,8 @@ func BenchmarkHashParallel(b *testing.B) {
 		for i := range recs {
 			recs[i] = int32(i)
 		}
-		for _, w := range workerSet {
-			b.Run(fmt.Sprintf("%s/workers=%d", wl.name, w), func(b *testing.B) {
+		row := func(name string, hf *core.HashFunc, cache *core.Cache, w int) {
+			b.Run(fmt.Sprintf("%s/workers=%d", name, w), func(b *testing.B) {
 				// One pool across iterations, like FilterIncremental
 				// keeps one per run: the rows measure the pooled
 				// steady state.
@@ -545,10 +550,33 @@ func BenchmarkHashParallel(b *testing.B) {
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					st := &core.HashStats{}
-					core.ApplyHashOpt(wl.ds, plan, plan.Funcs[0], nil, recs,
-						core.HashOptions{Workers: w, Shards: w, MinParallel: 1, Pool: pool}, st)
+					core.ApplyHashOpt(wl.ds, plan, hf, cache, recs,
+						core.HashOptions{Workers: w, MinParallel: 1, Pool: pool}, st)
 				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(recs)), "ns/record")
 			})
+		}
+		for _, w := range workerSet {
+			row(wl.name, plan.Funcs[0], nil, w)
+		}
+		if !wl.warm {
+			continue
+		}
+		cache := core.NewCache(wl.ds, len(plan.Hashers))
+		for _, hf := range plan.Funcs {
+			for rec := range recs {
+				for h, n := range hf.FuncsPerHasher {
+					if n > 0 {
+						cache.Ensure(plan, h, rec, n)
+					}
+				}
+			}
+		}
+		for _, w := range workerSet {
+			row(wl.name+"-warm/H1", plan.Funcs[0], cache, w)
+		}
+		for _, w := range workerSet {
+			row(wl.name+"-warm/HL", plan.Funcs[len(plan.Funcs)-1], cache, w)
 		}
 	}
 }

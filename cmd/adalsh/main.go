@@ -4,7 +4,7 @@
 // Usage:
 //
 //	adalsh -input data.json -rule 'jaccard@0 <= 0.6' -k 10 [-khat 20]
-//	       [-method ada|lsh|pairs] [-x 1280] [-workers 0] [-hash-shards 0]
+//	       [-method ada|lsh|pairs] [-x 1280] [-workers 0]
 //	       [-seed 42] [-family classic|oph] [-json]
 //	adalsh -input data.json -rule '...' -k 10 -query 5,17 [-query-m 3]
 //	       [-query-probes 2]   # online point lookups after one build
@@ -51,7 +51,6 @@ func main() {
 	method := flag.String("method", "ada", "ada (adaptive LSH), lsh (one-shot LSH-X) or pairs (exact)")
 	x := flag.Int("x", 1280, "hash budget for -method lsh")
 	workers := flag.Int("workers", 0, "worker-pool size for the parallel pairwise/hashing stages (0 = all CPUs, 1 = serial)")
-	hashShards := flag.Int("hash-shards", 0, "bucket-map shards of the parallel hash stage (0 = workers); output is identical for every value")
 	shards := flag.Int("shards", 0, "run through the sharded scale-out engine with this many record partitions (-method ada; output is byte-identical; 0/1 = single engine)")
 	seed := flag.Uint64("seed", 42, "hashing seed")
 	family := flag.String("family", "classic", "signature family for jaccard leaves: classic (one hash per function) or oph (one-permutation MinHash, O(|S|+K) signatures)")
@@ -136,7 +135,7 @@ func main() {
 
 	cfg := adalsh.Config{
 		K: *k, ReturnClusters: *khat,
-		Workers: *workers, HashShards: *hashShards, Shards: *shards,
+		Workers: *workers, Shards: *shards,
 		Sequence: adalsh.SequenceConfig{Seed: *seed},
 	}
 	var statsSink *adalsh.StatsWriter
@@ -342,7 +341,7 @@ func buildStream(ds *adalsh.Dataset, rule adalsh.Rule, cfg adalsh.Config, loadSt
 			st.AddWithTruth(truthOf(ds, i), ds.Records[i].Fields...)
 		}
 	}
-	st.SetWorkers(cfg.Workers, cfg.HashShards)
+	st.SetWorkers(cfg.Workers)
 	st.SetObs(cfg.Obs)
 	if cfg.Shards > 1 {
 		if err := adalsh.ShardStream(st, cfg.Shards); err != nil {

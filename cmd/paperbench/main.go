@@ -37,7 +37,6 @@ func main() {
 	skipImages := flag.Bool("skip-images", false, "skip the PopularImages figures (slowest datasets)")
 	seed := flag.Uint64("seed", 42, "master seed for datasets and hash families")
 	workers := flag.Int("workers", 0, "worker-pool size for pairwise/hashing stages (0 = serial, keeping work counters hardware-independent)")
-	hashShards := flag.Int("hash-shards", 0, "bucket-map shards of the parallel hash stage (0 = workers)")
 	md := flag.Bool("md", false, "emit markdown tables")
 	statsJSON := flag.String("stats-json", "", "directory for machine-readable BENCH_<dataset>.json reports (runs the serial-vs-parallel benchmark)")
 	pprofPath := flag.String("pprof", "", "write a CPU profile of the run to this file (inspect with go tool pprof)")
@@ -64,7 +63,6 @@ func main() {
 
 	p := experiments.NewProvider(*seed)
 	p.Workers = *workers
-	p.HashShards = *hashShards
 	start := time.Now()
 	var tables []*experiments.Table
 	switch *fig {
@@ -94,7 +92,7 @@ func main() {
 	}
 
 	if *statsJSON != "" {
-		if err := writeBenchReports(p, *statsJSON, *quick, *skipImages, *workers, *hashShards); err != nil {
+		if err := writeBenchReports(p, *statsJSON, *quick, *skipImages, *workers); err != nil {
 			stopProf()
 			fatal(err)
 		}
@@ -114,11 +112,11 @@ func main() {
 // writeBenchReports runs the instrumented serial-vs-parallel benchmark
 // and writes one BENCH_<dataset>.json per dataset into dir, enforcing
 // the counter-determinism contract.
-func writeBenchReports(p *experiments.Provider, dir string, quick, skipImages bool, workers, hashShards int) error {
+func writeBenchReports(p *experiments.Provider, dir string, quick, skipImages bool, workers int) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	reports, err := experiments.BenchAll(p, quick, skipImages, workers, hashShards)
+	reports, err := experiments.BenchAll(p, quick, skipImages, workers)
 	if err != nil {
 		return err
 	}

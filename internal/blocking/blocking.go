@@ -34,14 +34,11 @@ type LSHXOptions struct {
 	// transitive closure of stage one's buckets as final clusters
 	// without verifying any distances.
 	SkipPairwise bool
-	// Workers is the worker-pool size for stage one's key precompute,
-	// its sharded bucket insertion, and the pairwise verification
-	// stage; 0 means GOMAXPROCS, 1 forces the serial paths
-	// (core.Options.Workers semantics).
+	// Workers is the worker-pool size for stage one's bucket keys and
+	// whole-table insertion (core.HashOptions.Workers) and for the
+	// pairwise verification stage; 0 means GOMAXPROCS, 1 forces the
+	// serial paths (core.Options.Workers semantics).
 	Workers int
-	// HashShards is the bucket-map shard count of stage one's parallel
-	// insertion (core.Options.HashShards semantics; 0 means Workers).
-	HashShards int
 	// Epsilon and Seed mirror core.SequenceConfig.
 	Epsilon float64
 	Seed    uint64
@@ -113,8 +110,7 @@ func LSHXWithPlan(ds *record.Dataset, rule distance.Rule, plan *core.Plan, opts 
 	var stage1 [][]int32
 	ht := obs.StartStage(opts.Obs, obs.StageHash)
 	if ds.Len() > 0 {
-		hopts := core.HashOptions{Workers: workers, Shards: opts.HashShards}
-		stage1 = core.ApplyHashOpt(ds, plan, plan.Funcs[0], nil, all, hopts, &hashStats)
+		stage1 = core.ApplyHashOpt(ds, plan, plan.Funcs[0], nil, all, core.HashOptions{Workers: workers}, &hashStats)
 	}
 	ht.Workers = workers
 	ht.Items = ds.Len()

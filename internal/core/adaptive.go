@@ -23,16 +23,13 @@ type Options struct {
 	// Workers is the worker-pool size for the parallel stages: the
 	// pairwise computation function P shards its candidate-pair space
 	// across this many workers, and the transitive hashing functions
-	// precompute bucket keys and run sharded bucket insertion with the
-	// same pool. 0 means runtime.GOMAXPROCS(0); 1 forces the serial
-	// paths. The output is identical for every value — only Stats'
-	// wall/work split moves.
+	// compute bucket keys over record chunks and then fill up to
+	// min(Workers, tables) whole bucket tables at once
+	// (HashOptions.Workers). 0 means runtime.GOMAXPROCS(0); 1 forces
+	// the serial paths. The output is identical for every value — only
+	// Stats' wall/work split moves.
 	Workers int
 
-	// HashShards is the number of bucket-map shards of the parallel
-	// hash stage (HashOptions.Shards semantics): 0 means Workers. The
-	// output is identical for every value.
-	HashShards int
 	// HashMinParallel overrides the cluster-size floor below which the
 	// hash stage stays serial (0 means the built-in default). Mainly
 	// for tests and tuning.
@@ -45,7 +42,7 @@ type Options struct {
 	PairwiseMinPairs int64
 
 	// HashPool, when non-nil, supplies a long-lived scratch pool so
-	// bucket tables and key buffers survive across Filter calls (the
+	// bucket tables and key scratches survive across Filter calls (the
 	// Stream type uses this). A nil pool is created per run — the hash
 	// stage's scratch memory is then still recycled across all of the
 	// run's rounds. Pools must not be shared by concurrent runs.
@@ -296,9 +293,9 @@ func FilterIncremental(ds *record.Dataset, plan *Plan, opts Options, emit func(C
 // by rounds, and the one implementation of Algorithm 1's loop. A nil
 // rounds runs the single engine: ApplyHashOpt over opts.Cache (or a
 // cache of the run's own, or none with DisableHashCache) and
-// opts.HashPool. Those options, HashShards, HashMinParallel and Capture
-// configure the single engine's rounds only; Capture with a non-nil
-// rounds is an error.
+// opts.HashPool. Those options, HashMinParallel and Capture configure
+// the single engine's rounds only; Capture with a non-nil rounds is an
+// error.
 func FilterRounds(ds *record.Dataset, plan *Plan, opts Options, rounds HashRounder, emit func(Cluster) bool, stats *Stats) error {
 	if opts.K < 1 {
 		return fmt.Errorf("core: K = %d, want >= 1", opts.K)
@@ -341,8 +338,7 @@ func FilterRounds(ds *record.Dataset, plan *Plan, opts Options, rounds HashRound
 	}
 	if rounds == nil {
 		single := &engineRounds{ds: ds, plan: plan, hopts: HashOptions{
-			Workers: workers, Shards: opts.HashShards, MinParallel: opts.HashMinParallel,
-			Pool: opts.HashPool,
+			Workers: workers, MinParallel: opts.HashMinParallel, Pool: opts.HashPool,
 		}}
 		if !opts.DisableHashCache {
 			single.cache = opts.Cache

@@ -8,19 +8,18 @@ import (
 	"github.com/topk-er/adalsh/internal/core"
 )
 
-// hashParallelDataset is shared by the sharded-insertion tests: a
-// clustered set dataset big enough that every worker and shard gets
-// real work once MinParallel is lowered.
+// hashParallelDataset is shared by the parallel-insertion tests: a
+// clustered set dataset big enough that every worker gets real work
+// once MinParallel is lowered.
 func hashParallelDataset(t testing.TB) ([]int, uint64) {
 	t.Helper()
 	return []int{80, 60, 50, 40, 30, 20, 10, 5, 3, 2}, 71
 }
 
 // TestHashShardedMatchesSerial is the central equivalence claim of the
-// sharded hash stage: for every worker count and shard count, with and
-// without a hash cache, the partition ApplyHashOpt produces is
-// byte-identical to the serial path's, and the streamed eval counts
-// agree.
+// parallel hash stage: for every worker count, with and without a hash
+// cache, the partition ApplyHashOpt produces is byte-identical to the
+// one-goroutine run's, and the streamed eval counts agree.
 func TestHashShardedMatchesSerial(t *testing.T) {
 	sizes, seed := hashParallelDataset(t)
 	ds := clusteredSetDataset(t, sizes, seed)
@@ -35,37 +34,35 @@ func TestHashShardedMatchesSerial(t *testing.T) {
 		if cached {
 			name = "cache"
 		}
-		run := func(workers, shards int) ([][]int32, *core.HashStats) {
+		run := func(workers int) ([][]int32, *core.HashStats) {
 			var cache *core.Cache
 			if cached {
 				cache = core.NewCache(ds, len(plan.Hashers))
 			}
 			st := &core.HashStats{}
 			out := core.ApplyHashOpt(ds, plan, plan.Funcs[0], cache, recs,
-				core.HashOptions{Workers: workers, Shards: shards, MinParallel: 1}, st)
+				core.HashOptions{Workers: workers, MinParallel: 1}, st)
 			return out, st
 		}
-		serial, sst := run(1, 0)
+		serial, sst := run(1)
 		for _, workers := range []int{2, 4, 8} {
-			for _, shards := range []int{0, 1, 3, 8} {
-				got, st := run(workers, shards)
-				if !reflect.DeepEqual(got, serial) {
-					t.Fatalf("%s: workers=%d shards=%d partition differs from serial", name, workers, shards)
-				}
-				if !cached && !reflect.DeepEqual(st.Evals, sst.Evals) {
-					t.Fatalf("%s: workers=%d shards=%d streamed evals %v != serial %v",
-						name, workers, shards, st.Evals, sst.Evals)
-				}
+			got, st := run(workers)
+			if !reflect.DeepEqual(got, serial) {
+				t.Fatalf("%s: workers=%d partition differs from serial", name, workers)
+			}
+			if !cached && !reflect.DeepEqual(st.Evals, sst.Evals) {
+				t.Fatalf("%s: workers=%d streamed evals %v != serial %v",
+					name, workers, st.Evals, sst.Evals)
 			}
 		}
 	}
 }
 
-// TestHashShardedRehashRounds drives the sharded machinery through the
+// TestHashShardedRehashRounds drives the parallel machinery through the
 // H_t -> H_{t+1} escalation: every function of the sequence is applied
-// to the same cluster serially and sharded, sharing one incrementally
-// growing cache per mode, and the partitions and cumulative HashEvals
-// must match round for round.
+// to the same cluster serially and at 4 workers, sharing one
+// incrementally growing cache per mode, and the partitions and
+// cumulative HashEvals must match round for round.
 func TestHashShardedRehashRounds(t *testing.T) {
 	sizes, seed := hashParallelDataset(t)
 	ds := clusteredSetDataset(t, sizes, seed)
@@ -80,7 +77,7 @@ func TestHashShardedRehashRounds(t *testing.T) {
 	for _, hf := range plan.Funcs {
 		serial := core.ApplyHashOpt(ds, plan, hf, serialCache, recs, core.HashOptions{Workers: 1}, nil)
 		sharded := core.ApplyHashOpt(ds, plan, hf, shardedCache, recs,
-			core.HashOptions{Workers: 4, Shards: 4, MinParallel: 1}, nil)
+			core.HashOptions{Workers: 4, MinParallel: 1}, nil)
 		if !reflect.DeepEqual(sharded, serial) {
 			t.Fatalf("H_%d: sharded partition differs from serial", hf.Seq)
 		}
@@ -93,7 +90,7 @@ func TestHashShardedRehashRounds(t *testing.T) {
 
 // TestFilterHashParallelExactAccounting is the strict end-to-end
 // equivalence: with the pairwise stage pinned serial (its PairsComputed
-// is then worker-independent), a full Filter run with the sharded hash
+// is then worker-independent), a full Filter run with the parallel hash
 // stage must reproduce the serial run bit for bit — clusters, output,
 // HashEvals, PairsComputed and ModelCost — in both cache modes.
 func TestFilterHashParallelExactAccounting(t *testing.T) {
@@ -117,7 +114,7 @@ func TestFilterHashParallelExactAccounting(t *testing.T) {
 		}
 		for _, workers := range []int{2, 4, 8} {
 			res, err := core.Filter(ds, plan, core.Options{
-				K: 4, Workers: workers, HashShards: workers, HashMinParallel: 1,
+				K: 4, Workers: workers, HashMinParallel: 1,
 				DisableHashCache: disableCache,
 			})
 			if err != nil {
@@ -150,8 +147,8 @@ func TestFilterHashParallelExactAccounting(t *testing.T) {
 }
 
 // TestHashShardedInsertionRace hammers the parallel hash pipeline —
-// concurrent key precompute, concurrent shard insertion with bucket
-// reads/writes, concurrent Cache.Ensure over distinct records — from
+// concurrent key precompute, concurrent whole-table insertion with
+// bucket reads/writes, concurrent Cache.Ensure over distinct records — from
 // several goroutines at once, each with its own cache (the documented
 // Cache contract). Run under -race in CI; every run must reproduce the
 // serial partition.
@@ -176,14 +173,14 @@ func TestHashShardedInsertionRace(t *testing.T) {
 			cache := core.NewCache(ds, len(plan.Hashers))
 			for it := 0; it < iters; it++ {
 				// Alternate cached and streaming invocations so both
-				// key paths run concurrently with the shard workers.
+				// key paths run concurrently with the table workers.
 				var c *core.Cache
 				if it%2 == 0 {
 					c = cache
 				}
 				st := &core.HashStats{}
 				got := core.ApplyHashOpt(ds, plan, plan.Funcs[0], c, recs,
-					core.HashOptions{Workers: 4, Shards: 8, MinParallel: 1}, st)
+					core.HashOptions{Workers: 4, MinParallel: 1}, st)
 				if !reflect.DeepEqual(got, serial) {
 					errs <- "goroutine partition differs from serial"
 					return

@@ -119,12 +119,15 @@ func (t *oaTable) grow() {
 }
 
 // HashPool recycles the hash stage's scratch memory — open-addressing
-// bucket tables, the parallel key matrix, per-shard merge-edge lists
-// and the streaming signature buffers — across tables, rounds and
-// ApplyHashOpt invocations. FilterIncremental keeps one pool per run
-// and Stream one per stream; an invocation with a nil HashOptions.Pool
-// builds a transient pool (reuse across its own tables and shards
-// only).
+// bucket tables, the table workers' merge-edge lists and the key
+// scratches with their streaming signature buffers — across tables,
+// rounds and ApplyHashOpt invocations. A round that keeps no tables
+// returns each one before its worker takes the next, so it needs only
+// as many tables as it has table workers. FilterIncremental keeps
+// one pool per run and Stream one per stream; an invocation with a nil
+// HashOptions.Pool builds a transient pool (reuse across its own tables
+// only). The bucket-key matrix is not pooled: every invocation
+// allocates its own.
 //
 // Concurrency contract: a pool must not be shared by concurrently
 // running invocations. Within one invocation all acquisitions happen
@@ -132,7 +135,6 @@ func (t *oaTable) grow() {
 // needed.
 type HashPool struct {
 	tables []*oaTable
-	keys   []uint64
 	edges  [][]mergeEdge
 	scr    []*keyScratch
 }
@@ -142,33 +144,23 @@ func NewHashPool() *HashPool {
 	return &HashPool{}
 }
 
-// getTables hands out n epoch-cleared tables, each sized for about
-// hint occupants.
-func (p *HashPool) getTables(n, hint int) []*oaTable {
-	out := make([]*oaTable, n)
-	for i := range out {
-		if l := len(p.tables); l > 0 {
-			out[i] = p.tables[l-1]
-			p.tables = p.tables[:l-1]
-		} else {
-			out[i] = &oaTable{}
-		}
-		out[i].reset(hint)
+// getTable hands out an epoch-cleared table sized for about hint
+// occupants.
+func (p *HashPool) getTable(hint int) *oaTable {
+	var t *oaTable
+	if l := len(p.tables); l > 0 {
+		t = p.tables[l-1]
+		p.tables = p.tables[:l-1]
+	} else {
+		t = &oaTable{}
 	}
-	return out
+	t.reset(hint)
+	return t
 }
 
 // putTables returns tables to the free list.
-func (p *HashPool) putTables(ts []*oaTable) {
+func (p *HashPool) putTables(ts ...*oaTable) {
 	p.tables = append(p.tables, ts...)
-}
-
-// keyMatrix hands out an n-word uint64 buffer (contents undefined).
-func (p *HashPool) keyMatrix(n int) []uint64 {
-	if cap(p.keys) < n {
-		p.keys = make([]uint64, n)
-	}
-	return p.keys[:n]
 }
 
 // edgeSlots hands out n empty merge-edge lists whose grown capacity is

@@ -160,7 +160,7 @@ func TestOATableEpochWrap(t *testing.T) {
 // capacity kept.
 func TestHashPoolRecyclesTables(t *testing.T) {
 	pool := NewHashPool()
-	tabs := pool.getTables(3, 1000)
+	tabs := []*oaTable{pool.getTable(1000), pool.getTable(1000), pool.getTable(1000)}
 	want := len(tabs[0].keys)
 	if want < oaSizeFor(1000) {
 		t.Fatalf("table size = %d, want >= %d", want, oaSizeFor(1000))
@@ -168,8 +168,8 @@ func TestHashPoolRecyclesTables(t *testing.T) {
 	for i, tab := range tabs {
 		tab.swap(xhash.SplitMix64(uint64(i)), int32(i))
 	}
-	pool.putTables(tabs)
-	again := pool.getTables(3, 10)
+	pool.putTables(tabs...)
+	again := []*oaTable{pool.getTable(10), pool.getTable(10), pool.getTable(10)}
 	for i, tab := range again {
 		if len(tab.keys) != want {
 			t.Fatalf("recycled table %d size = %d, want retained %d", i, len(tab.keys), want)
@@ -181,7 +181,7 @@ func TestHashPoolRecyclesTables(t *testing.T) {
 			t.Fatalf("recycled table %d still resolves an old key", i)
 		}
 	}
-	pool.putTables(again)
+	pool.putTables(again...)
 
 	edges := pool.edgeSlots(2)
 	edges[0] = append(edges[0], mergeEdge{1, 2}, mergeEdge{3, 4})

@@ -34,26 +34,18 @@ import (
 const DefaultQueryProbes = 2
 
 // BucketTables holds a hashing call's bucket tables after the call
-// returned, instead of recycling them into the HashPool: per table,
-// each bucket key maps to the record last inserted under it, as an
-// index into the call's recs. The layout mirrors the call that filled
-// it: shards*numTables tables (serial calls have one shard), with
-// bucket keys routed to shard keyShard(key, shards) exactly as the
-// sharded insertion stage routed them. The zero value holds no
+// returned, instead of recycling them into the HashPool: one table per
+// hash table, mapping each bucket key to the record last inserted
+// under it, as an index into the call's recs. The zero value holds no
 // buckets. Lookup only reads, so concurrent lookups are safe.
 type BucketTables struct {
-	shards    int
-	numTables int
-	tables    []*oaTable
+	tables []*oaTable
 }
 
 // Lookup returns the record last inserted under key in table t.
 func (b *BucketTables) Lookup(t int, key uint64) (int32, bool) {
 	if b.tables == nil {
 		return 0, false
-	}
-	if b.shards > 1 {
-		t += keyShard(key, b.shards) * b.numTables
 	}
 	return b.tables[t].lookup(key)
 }
@@ -62,7 +54,7 @@ func (b *BucketTables) Lookup(t int, key uint64) (int32, bool) {
 // empties the handle. Safe on an empty handle.
 func (b *BucketTables) Release(pool *HashPool) {
 	if b.tables != nil && pool != nil {
-		pool.putTables(b.tables)
+		pool.putTables(b.tables...)
 	}
 	*b = BucketTables{}
 }
@@ -82,7 +74,7 @@ type BucketCapture struct {
 
 // begin prepares the capture for an invocation over numRecs records.
 func (c *BucketCapture) begin(numTables, numRecs int) {
-	c.BucketTables = BucketTables{shards: 1, numTables: numTables}
+	c.BucketTables = BucketTables{}
 	if cap(c.prev) < numTables {
 		c.prev = make([][]int32, numTables)
 	}
@@ -108,9 +100,9 @@ func (c *BucketCapture) begin(numTables, numRecs int) {
 //
 // Per table it is a counting sort by bucket. One forward pass resolves
 // each record's bucket root (the bucket's first member) as the root of
-// its predecessor: both insertion paths insert records in ascending li
-// order, so prev[t][li] < li and the predecessor's root is already
-// known. For the same reason a bucket's head, its last insertion, is
+// its predecessor: every table is filled in ascending li order, so
+// prev[t][li] < li and the predecessor's root is already known. For
+// the same reason a bucket's head, its last insertion, is
 // its largest member, so placing records in descending li order puts
 // each head at its run's start and each root at its end.
 func (c *BucketCapture) toRuns() [][]int32 {
@@ -154,12 +146,10 @@ func (c *BucketCapture) toRuns() [][]int32 {
 			}
 			root[li] = pos
 		}
-		for s := range max(c.shards, 1) {
-			tab := c.tables[s*c.numTables+t]
-			for i, st := range tab.stamp {
-				if st == tab.epoch {
-					tab.vals[i] = root[tab.vals[i]]
-				}
+		tab := c.tables[t]
+		for i, st := range tab.stamp {
+			if st == tab.epoch {
+				tab.vals[i] = root[tab.vals[i]]
 			}
 		}
 		runs[t], spare = run, root

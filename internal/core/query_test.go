@@ -64,8 +64,8 @@ func TestQueryFindsOwnCluster(t *testing.T) {
 }
 
 // TestQueryDifferentialAcrossPaths pins the capture's correctness on
-// both insertion paths: the serial and the sharded parallel bucket
-// insertion must yield identical query results for every record.
+// every worker count: tables filled on one goroutine and by parallel
+// table workers must yield identical query results for every record.
 func TestQueryDifferentialAcrossPaths(t *testing.T) {
 	defer core.SetParallelHashThreshold(1)()
 	ds := clusteredSetDataset(t, []int{30, 20, 10, 5, 3, 2}, 19)
@@ -78,7 +78,7 @@ func TestQueryDifferentialAcrossPaths(t *testing.T) {
 		opts core.Options
 	}{
 		{"serial", core.Options{K: 3, Workers: 1}},
-		{"parallel", core.Options{K: 3, Workers: 4, HashShards: 3, PairwiseMinPairs: 1 << 62}},
+		{"parallel", core.Options{K: 3, Workers: 4, PairwiseMinPairs: 1 << 62}},
 	}
 	type answer struct {
 		cands   []int32

@@ -15,7 +15,7 @@ import (
 // a bucket's members are already connected through the local forest,
 // so any member works as the bucket's ambassador in a cross-shard
 // reconcile; the first is chosen because it is deterministic under the
-// fixed record-order insertion the serial hash path performs.
+// ascending record order every table is filled in.
 type BucketRep struct {
 	// Key is the bucket key (xhash combination of the table's part
 	// values — identical across shards for identical signatures).
@@ -27,79 +27,36 @@ type BucketRep struct {
 }
 
 // ApplyHashExport applies transitive hashing function hf to the
-// records in recs exactly like the serial path of ApplyHashOpt — same
-// record-major insertion order, same pooled open-addressing bucket
-// tables, same collision and merge counting — but shapes its output
-// for a sharded engine (internal/shard):
+// records in recs with ApplyHashOpt's insertion loop (insertRound) —
+// same bucket tables, same collision and merge counting — but shapes
+// its output for a sharded engine (internal/shard):
 //
 //   - the returned partition holds indices into recs rather than
 //     dataset record IDs, ordered canonically (largest cluster first,
 //     ties on first index — identical to CollectClusters' ordering,
 //     since recs is ascending in every engine call site);
 //   - one BucketRep per non-empty bucket is appended to reps (reuse a
-//     caller-owned buffer to keep rounds allocation-steady), in bucket
-//     creation order;
+//     caller-owned buffer to keep rounds allocation-steady), table by
+//     table and, within a table, in order of the buckets' first
+//     members;
 //   - the bucket tables are kept, not recycled: the returned handle
 //     answers which record of recs a bucket key last held, so a
 //     coordinator can probe one shard's buckets with another shard's
 //     representatives. Release the handle into pool once done.
 //
-// The function is deliberately serial: the sharded engine gets its
+// The export runs on the calling goroutine: the sharded engine gets its
 // parallelism from running P exports concurrently (one per shard, each
 // with its own dataset view, cache and pool), not from fanning out
 // inside one shard. A nil pool builds a transient one for this call.
 func ApplyHashExport(ds *record.Dataset, p *Plan, hf *HashFunc, cache *Cache, recs []int32, reps []BucketRep, pool *HashPool, st *HashStats) ([][]int32, []BucketRep, BucketTables) {
 	start := time.Now()
-	if pool == nil {
-		pool = NewHashPool()
-	}
-	var evals []int64
-	var selems *int64
-	if st != nil {
-		if st.Evals == nil {
-			st.Evals = make([]int64, len(p.Hashers))
-		}
-		evals = st.Evals
-		selems = &st.SigElems
-	}
-	forest := ppt.NewForest(len(recs))
-	numTables := len(hf.Tables)
-	var collisions, merges int64
-
-	scratch := pool.getScratch(ds, p, hf, cache)
-	rowKeys := pool.keyMatrix(numTables)
-	tables := pool.getTables(numTables, len(recs))
-	for li, rec := range recs {
-		scratch.keysFor(rec, rowKeys)
-		for t, key := range rowKeys {
-			li32 := int32(li)
-			last, occupied := tables[t].swap(key, li32)
-			if !forest.InTree(li) {
-				forest.MakeTree(li)
-			}
-			if occupied {
-				collisions++
-				ra, rb := forest.Root(int(last)), forest.Root(li)
-				if ra != rb {
-					forest.Merge(ra, rb)
-					merges++
-				}
-			} else {
-				reps = append(reps, BucketRep{Key: key, Table: int32(t), Rep: li32})
-			}
-		}
-	}
-	scratch.flushEvals(evals)
-	scratch.flushSigElems(selems)
-	pool.putScratch(scratch)
-
+	exp := bucketExport{reps: reps}
+	forest := insertRound(ds, p, hf, cache, recs, HashOptions{Pool: pool}, &exp, st)
 	out := collectClusterIdx(forest, len(recs))
 	if st != nil {
 		st.Work += time.Since(start)
-		st.Collisions += collisions
-		st.Merges += merges
 	}
-	return out, reps, BucketTables{shards: 1, numTables: numTables, tables: tables}
+	return out, exp.reps, BucketTables{tables: exp.tables}
 }
 
 // collectClusterIdx is CollectClusters emitting local indices instead

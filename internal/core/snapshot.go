@@ -114,8 +114,8 @@ func NewCacheFromState(ds *record.Dataset, st *CacheState) (*Cache, error) {
 // the rule and sequence config, the accumulated dataset, the designed
 // plan with its calibrated cost model, the full signature cache, and
 // the stream's position/replan/query bookkeeping. Runtime-only knobs
-// (workers, hash shards, the obs sink, the scratch pool) are not state:
-// they describe the machine, not the computation, and are re-set on the
+// (workers, the obs sink, the scratch pool) are not state: they
+// describe the machine, not the computation, and are re-set on the
 // restored stream.
 //
 // The point-query index is deliberately absent: it is a derived

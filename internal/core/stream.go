@@ -68,7 +68,6 @@ type Stream struct {
 	cache   *Cache
 	pool    *HashPool
 	workers int
-	shards  int
 	hashMin int
 	sink    obs.Sink
 
@@ -122,7 +121,7 @@ type FilterFunc func(ds *record.Dataset, plan *Plan, opts Options) (*Result, err
 
 // NewStream creates an empty stream for the given matching rule. The
 // stream keeps one scratch pool alongside the hash cache, so the hash
-// stage's bucket tables and key buffers are recycled across queries,
+// stage's bucket tables and key scratches are recycled across queries,
 // not just across one query's rounds (Stream is not safe for
 // concurrent use, which is exactly the pool's contract).
 func NewStream(rule distance.Rule, cfg SequenceConfig) *Stream {
@@ -143,13 +142,8 @@ func (s *Stream) AddWithTruth(entity int, fields ...record.Field) int {
 
 // SetWorkers sets the worker-pool size used by subsequent queries
 // (Options.Workers semantics: 0 means GOMAXPROCS, 1 forces the serial
-// paths) and optionally the bucket-map shard count of the parallel
-// hash stage (Options.HashShards semantics: 0 means workers). Query
-// results are identical for every combination.
-func (s *Stream) SetWorkers(workers, hashShards int) {
-	s.workers = workers
-	s.shards = hashShards
-}
+// paths). Query results are identical for every value.
+func (s *Stream) SetWorkers(workers int) { s.workers = workers }
 
 // SetHashMinParallel sets the cluster-size floor below which hashing
 // rounds stay serial (Options.HashMinParallel semantics: 0 keeps the
@@ -285,7 +279,7 @@ func (s *Stream) TopKClusters(k, returnClusters int) (*Result, error) {
 	if s.engine != nil {
 		res, err = s.engine(s.ds, s.plan, Options{
 			K: k, ReturnClusters: returnClusters,
-			Workers: s.workers, HashShards: s.shards, HashMinParallel: s.hashMin,
+			Workers: s.workers, HashMinParallel: s.hashMin,
 			Obs: s.sink,
 		})
 	} else {
@@ -296,7 +290,7 @@ func (s *Stream) TopKClusters(k, returnClusters int) (*Result, error) {
 		s.qix.Release(s.pool)
 		res, err = Filter(s.ds, s.plan, Options{
 			K: k, ReturnClusters: returnClusters, Cache: s.cache, HashPool: s.pool,
-			Workers: s.workers, HashShards: s.shards, HashMinParallel: s.hashMin,
+			Workers: s.workers, HashMinParallel: s.hashMin,
 			Obs: s.sink, Capture: s.qix,
 		})
 	}

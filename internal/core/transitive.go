@@ -13,31 +13,26 @@ import (
 	"github.com/topk-er/adalsh/internal/xhash"
 )
 
-// parallelHashThreshold is the cluster size above which the hash stage
-// runs its parallel pipeline: bucket keys are precomputed by worker
-// waves and bucket insertion runs over sharded bucket tables. Below it
-// the serial loop wins on dispatch overhead. It is a var only so tests
-// can exercise both sides of the boundary (see export_test.go and
-// HashOptions.MinParallel); production code treats it as a constant.
+// parallelHashThreshold is the cluster size from which the hash stage
+// runs on several workers: worker waves compute the bucket keys, and
+// whole tables are filled concurrently. Below it one goroutine wins on
+// dispatch overhead. It is a var only so tests can exercise both sides
+// of the boundary (see export_test.go and HashOptions.MinParallel);
+// production code treats it as a constant.
 var parallelHashThreshold = 4096
 
 // HashOptions controls one invocation of a transitive hashing function.
 type HashOptions struct {
-	// Workers is the worker-pool size for the parallel key-precompute
-	// and sharded-insertion stages; 0 means runtime.GOMAXPROCS(0), 1
-	// forces the serial path. The partition produced is identical for
-	// every value.
+	// Workers bounds the goroutines of an invocation of MinParallel
+	// records or more: up to Workers compute bucket keys over disjoint
+	// record chunks, then up to min(Workers, tables) fill whole bucket
+	// tables at once. 0 means runtime.GOMAXPROCS(0); 1 runs everything
+	// on the calling goroutine. The partition, the counters and any
+	// capture are identical for every value.
 	Workers int
-	// Shards is the number of bucket-table shards of the parallel
-	// insertion stage. Records' bucket keys are routed to shard
-	// hash(bucketKey) % Shards; each shard owns a disjoint slice of
-	// every table's bucket space and is merged deterministically, so
-	// bucket contents and the resulting partition are identical to the
-	// serial path for every shard count. 0 means Workers.
-	Shards int
 	// MinParallel overrides the record-count floor below which the
-	// serial path is used (0 means the built-in 4096 default). Mainly
-	// for tests and tuning.
+	// invocation runs on the calling goroutine (0 means the built-in
+	// 4096 default). Mainly for tests and tuning.
 	MinParallel int
 	// Pool recycles bucket tables and scratch buffers across
 	// invocations (FilterIncremental threads one pool through a whole
@@ -59,9 +54,6 @@ func (o HashOptions) resolve() HashOptions {
 	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
 	}
-	if o.Shards <= 0 {
-		o.Shards = o.Workers
-	}
 	if o.MinParallel <= 0 {
 		o.MinParallel = parallelHashThreshold
 	}
@@ -75,19 +67,19 @@ type HashStats struct {
 	// invocations count through the Cache itself (Cache.HashEvals),
 	// which is where the incremental-computation saving shows.
 	Evals []int64
-	// Work is the cumulative busy time: the parallel key-precompute
-	// and shard workers' summed busy time plus the sequential portions
-	// counted once. Work ~= wall on the serial path; Work divided by
-	// the caller-observed wall time is the effective parallel speedup.
+	// Work is the cumulative busy time: the key and table workers'
+	// summed busy time plus the sequential portions counted once.
+	// Work ~= wall on one goroutine; Work divided by the
+	// caller-observed wall time is the effective parallel speedup.
 	Work time.Duration
 	// Collisions counts insertions into already-occupied buckets (the
 	// candidate edges of the collision graph). Each occupied insertion
-	// yields exactly one edge on both the serial and the sharded path,
-	// so the count is identical for every worker and shard count.
+	// yields exactly one edge, so the count is identical for every
+	// worker count.
 	Collisions int64
 	// Merges counts successful parent-pointer-tree merges. Like the
 	// pairwise counter it is order-independent (trees built minus
-	// components left), hence identical for every worker/shard count.
+	// components left), hence identical for every worker count.
 	Merges int64
 	// SigElems counts streamed set-element hashes (the
 	// sig_elems_hashed obs counter). Like Evals, only the streaming
@@ -106,22 +98,53 @@ type HashStats struct {
 // invocations could merge clusters from different invocations. Base
 // hash values, however, are reused through the cache, which is where
 // the incremental-computation saving comes from. A nil cache streams
-// instead — each record's hash values live only while that record is
-// inserted — which one-shot blocking baselines use to bound memory.
+// instead — each record's hash values live only while its bucket keys
+// are folded — which one-shot blocking baselines use to bound memory.
 //
 // When st is non-nil, streamed base-hash evaluations, cumulative busy
-// time and the collision/merge counters are accumulated into it.
-// Inputs of MinParallel records or more run the parallel pipeline —
-// key precompute in worker waves, then bucket insertion over sharded
-// bucket tables with a deterministic per-shard merge. The partition is
-// identical for every worker and shard count: shard edge lists follow
-// record order, components are edge-order independent, and
-// CollectClusters emits a canonical ordering. Fresh table *contents*
-// per invocation come from an O(1) epoch clear; the table *memory* is
-// recycled through the pool, which is where the hot loop's allocation
-// saving comes from.
+// time and the collision/merge counters are accumulated into it. The
+// insertion is insertRound's, at every worker count; the partition is
+// identical for every worker count because components are edge-order
+// independent and CollectClusters emits a canonical ordering.
 func ApplyHashOpt(ds *record.Dataset, p *Plan, hf *HashFunc, cache *Cache, recs []int32, opts HashOptions, st *HashStats) [][]int32 {
 	start := time.Now()
+	forest := insertRound(ds, p, hf, cache, recs, opts, nil, st)
+	out := CollectClusters(forest, recs)
+	if st != nil {
+		st.Work += time.Since(start)
+	}
+	return out
+}
+
+// bucketExport asks insertRound for what ApplyHashExport returns
+// besides the partition: the round's tables, kept, and one
+// representative per bucket, appended to reps.
+type bucketExport struct {
+	reps   []BucketRep
+	tables []*oaTable
+}
+
+// insertRound is the one bucket-insertion loop: it applies hf to recs
+// and returns the forest of the bucket-collision components, over
+// indices into recs, adding evaluations, collisions, merges and the
+// parallel sections' busy-minus-wall time to st (the caller adds its
+// own wall time).
+//
+// Keys come first: every record's bucket key in every table, folded
+// into a z × n table-major matrix by worker waves over record chunks.
+// The matrix is allocated per call, not pooled, because a pool can
+// outlive its runs (the sharded engine keeps one per shard). Then the
+// tables: at most min(Workers, z) workers each fill one whole table in
+// ascending record order, collecting its collision edges, and the
+// edges reduce into the forest in table order before the table is
+// recycled, so a round that keeps no tables holds only min(Workers, z)
+// of them. Each bucket thus holds its last inserted record and every
+// collision yields one edge to the previous occupant, as a map from
+// key to last record would. A capture's predecessor cell prev[t][li]
+// is written only by the worker filling table t. An export fills its
+// tables on the calling goroutine, records each bucket's first member
+// as its representative, and keeps the tables, as a capture does.
+func insertRound(ds *record.Dataset, p *Plan, hf *HashFunc, cache *Cache, recs []int32, opts HashOptions, exp *bucketExport, st *HashStats) *ppt.Forest {
 	opts = opts.resolve()
 	pool := opts.Pool
 	if pool == nil {
@@ -136,184 +159,152 @@ func ApplyHashOpt(ds *record.Dataset, p *Plan, hf *HashFunc, cache *Cache, recs 
 		evals = st.Evals
 		selems = &st.SigElems
 	}
-	forest := ppt.NewForest(len(recs))
-	numTables := len(hf.Tables)
-	capture := opts.Capture
-	var prev [][]int32
-	if capture != nil {
-		capture.begin(numTables, len(recs))
-		prev = capture.prev
+	n, z := len(recs), len(hf.Tables)
+	workers := opts.Workers
+	if n < opts.MinParallel || exp != nil {
+		workers = 1
 	}
-
-	// parWall/parBusyNS track the wall time spent inside the parallel
+	// parWall/parBusy track the wall time spent inside the parallel
 	// sections and the matching summed worker busy time, so Work can
 	// charge concurrent sections by busy time and sequential ones once.
-	var parWall time.Duration
-	var parBusyNS int64
-	var collisions, merges int64
-
-	if len(recs) >= opts.MinParallel && opts.Workers > 1 && numTables > 0 {
-		// Stage 1: precompute every record's bucket keys in parallel.
-		pw0 := time.Now()
-		keys := pool.keyMatrix(len(recs) * numTables)
-		var wg sync.WaitGroup
-		var scratches []*keyScratch
-		chunk := (len(recs) + opts.Workers - 1) / opts.Workers
-		for w := 0; w < opts.Workers; w++ {
-			lo := w * chunk
-			hi := lo + chunk
-			if hi > len(recs) {
-				hi = len(recs)
-			}
-			if lo >= hi {
-				break
-			}
-			scratch := pool.getScratch(ds, p, hf, cache)
-			scratches = append(scratches, scratch)
-			wg.Add(1)
-			go func(lo, hi int, scratch *keyScratch) {
-				defer wg.Done()
-				t0 := time.Now()
-				for li := lo; li < hi; li++ {
-					scratch.keysFor(recs[li], keys[li*numTables:(li+1)*numTables])
-				}
-				scratch.flushEvals(evals)
-				scratch.flushSigElems(selems)
-				atomic.AddInt64(&parBusyNS, int64(time.Since(t0)))
-			}(lo, hi, scratch)
+	var parWall, parBusy time.Duration
+	run := func(tasks int, task func(i int)) {
+		if tasks == 1 {
+			task(0)
+			return
 		}
-		wg.Wait()
-		for _, s := range scratches {
-			pool.putScratch(s)
-		}
+		wall, busy := fanOut(tasks, task)
+		parWall += wall
+		parBusy += busy
+	}
 
-		// Stage 2: sharded bucket insertion. Shard s owns the buckets
-		// whose key hashes to it; each shard walks the key matrix in
-		// (record, table) order — the serial insertion order — so its
-		// bucket tables hold exactly the serial tables' buckets for its
-		// key slice, and its edge list is deterministic. Every shard's
-		// table set is acquired up front on this goroutine (the pool is
-		// not locked) and handed to its worker; per-shard expected
-		// occupancy sizes the tables.
-		shardTabs := pool.getTables(numTables*opts.Shards, len(recs)/opts.Shards+1)
-		edgesByShard := pool.edgeSlots(opts.Shards)
-		for s := 0; s < opts.Shards; s++ {
-			wg.Add(1)
-			go func(s int, tabs []*oaTable) {
-				defer wg.Done()
-				t0 := time.Now()
-				edgesByShard[s] = shardEdges(keys, len(recs), numTables, s, opts.Shards, tabs, edgesByShard[s], prev)
-				atomic.AddInt64(&parBusyNS, int64(time.Since(t0)))
-			}(s, shardTabs[s*numTables:(s+1)*numTables])
-		}
-		wg.Wait()
-		parWall = time.Since(pw0)
+	keys := make([]uint64, z*n)
+	chunks := max(min(workers, n), 1)
+	chunk := (n + chunks - 1) / chunks
+	scratches := make([]*keyScratch, chunks)
+	for i := range scratches {
+		scratches[i] = pool.getScratch(ds, p, hf, cache)
+	}
+	run(chunks, func(i int) {
+		s := scratches[i]
+		s.keysFor(recs, min(i*chunk, n), min((i+1)*chunk, n), keys)
+		s.flushEvals(evals)
+		s.flushSigElems(selems)
+	})
+	for _, s := range scratches {
+		pool.putScratch(s)
+	}
 
-		// Stage 3: sequential reduce. Only this goroutine touches the
-		// forest (the ppt concurrency contract). Every record was
-		// inserted into numTables > 0 buckets, so all get trees, as on
-		// the serial path; the merge order (shard-major, then edge
-		// order) differs from serial, but connected components are
-		// edge-order independent and CollectClusters canonicalizes.
+	var prev [][]int32
+	var kept []*oaTable
+	if c := opts.Capture; c != nil {
+		c.begin(z, n)
+		prev = c.prev
+	}
+	if opts.Capture != nil || exp != nil {
+		kept = make([]*oaTable, z)
+	}
+	var reps *[]BucketRep
+	if exp != nil {
+		reps = &exp.reps
+	}
+	forest := ppt.NewForest(n)
+	if z > 0 {
 		for li := range recs {
 			forest.MakeTree(li)
 		}
-		for _, edges := range edgesByShard {
-			collisions += int64(len(edges))
-			for _, e := range edges {
+	}
+	var collisions, merges int64
+	slots := min(workers, z)
+	tabs := make([]*oaTable, slots)
+	edges := pool.edgeSlots(slots)
+	base := 0 // the first table of the current wave
+	fill := func(i int) {
+		t := base + i
+		var tprev []int32
+		if prev != nil {
+			tprev = prev[t]
+		}
+		edges[i] = fillTable(tabs[i], t, keys[t*n:(t+1)*n], tprev, edges[i][:0], reps)
+	}
+	for ; base < z; base += slots {
+		wave := min(slots, z-base)
+		for i := range wave {
+			tabs[i] = pool.getTable(n)
+		}
+		run(wave, fill)
+		// Only this goroutine touches the forest (the ppt concurrency
+		// contract).
+		for i := range wave {
+			collisions += int64(len(edges[i]))
+			for _, e := range edges[i] {
 				if ra, rb := forest.Root(int(e.a)), forest.Root(int(e.b)); ra != rb {
 					forest.Merge(ra, rb)
 					merges++
 				}
 			}
-		}
-		pool.putEdgeSlots(edgesByShard)
-		if capture != nil {
-			capture.shards = opts.Shards
-			capture.tables = shardTabs
-		} else {
-			pool.putTables(shardTabs)
-		}
-	} else {
-		// Serial path: one pass in record order, inserting into pooled
-		// per-table open-addressing tables (fresh contents by epoch
-		// clear, recycled memory) and merging on occupied buckets.
-		tables := pool.getTables(numTables, len(recs))
-		scratch := pool.getScratch(ds, p, hf, cache)
-		rowKeys := pool.keyMatrix(numTables)
-		for li, rec := range recs {
-			scratch.keysFor(rec, rowKeys)
-			for t, key := range rowKeys {
-				li32 := int32(li)
-				last, occupied := tables[t].swap(key, li32)
-				if !forest.InTree(li) {
-					forest.MakeTree(li) // cases 1 and 3 of Figure 19
-				}
-				if occupied {
-					collisions++
-					if prev != nil {
-						prev[t][li] = last
-					}
-					ra, rb := forest.Root(int(last)), forest.Root(li)
-					if ra != rb {
-						forest.Merge(ra, rb) // case 3/4 merge
-						merges++
-					}
-				}
+			if kept != nil {
+				kept[base+i] = tabs[i]
+			} else {
+				pool.putTables(tabs[i])
 			}
 		}
-		scratch.flushEvals(evals)
-		scratch.flushSigElems(selems)
-		pool.putScratch(scratch)
-		if capture != nil {
-			capture.tables = tables
-		} else {
-			pool.putTables(tables)
-		}
 	}
-	out := CollectClusters(forest, recs)
+	pool.putEdgeSlots(edges)
+	if opts.Capture != nil {
+		opts.Capture.tables = kept
+	}
+	if exp != nil {
+		exp.tables = kept
+	}
 	if st != nil {
-		st.Work += time.Since(start) - parWall + time.Duration(atomic.LoadInt64(&parBusyNS))
+		st.Work += parBusy - parWall
 		st.Collisions += collisions
 		st.Merges += merges
 	}
-	return out
+	return forest
+}
+
+// fanOut runs task(0), ..., task(tasks-1) on one goroutine each and
+// returns the section's wall time and the tasks' summed busy time.
+func fanOut(tasks int, task func(i int)) (wall, busy time.Duration) {
+	start := time.Now()
+	var busyNS atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(tasks)
+	for i := range tasks {
+		go func() {
+			defer wg.Done()
+			t0 := time.Now()
+			task(i)
+			busyNS.Add(int64(time.Since(t0)))
+		}()
+	}
+	wg.Wait()
+	return time.Since(start), time.Duration(busyNS.Load())
 }
 
 // mergeEdge is one bucket collision between two local indices into
 // recs: a was in the bucket, b joined it.
 type mergeEdge struct{ a, b int32 }
 
-// keyShard routes a bucket key to its owning shard. The key is mixed
-// once more before the modulo: bucket keys are FNV combinations whose
-// low bits alone are not uniform enough to balance shards.
-func keyShard(key uint64, shards int) int {
-	return int(xhash.SplitMix64(key) % uint64(shards))
-}
-
-// shardEdges runs bucket insertion for one shard: it scans the
-// (record-major) key matrix, keeps per-table bucket tables restricted
-// to the shard's keys, and appends the bucket-collision edges to edges
-// in insertion order. Each bucket entry holds the last record added,
-// exactly as on the serial path. tabs holds one epoch-cleared table
-// per hash table; both it and the returned edge list are pool-owned.
-// A non-nil prev additionally records each record's bucket
-// predecessor (prev[t][li], for a BucketCapture); every (t, li) cell
-// belongs to exactly one shard — the one owning key(li, t) — so
-// concurrent shards never write the same cell.
-func shardEdges(keys []uint64, numRecs, numTables, shard, shards int, tabs []*oaTable, edges []mergeEdge, prev [][]int32) []mergeEdge {
-	for li := 0; li < numRecs; li++ {
-		row := keys[li*numTables : (li+1)*numTables]
-		for t, key := range row {
-			if keyShard(key, shards) != shard {
-				continue
+// fillTable inserts keys[li], table t's key of record li, into tab for
+// every li in ascending order, the one production insertion into an
+// oaTable. It appends one edge per collision, from the bucket's
+// previous occupant to li, and returns the edges. A non-nil prev also
+// records that occupant as prev[li]; a non-nil reps gains each new
+// bucket's first member as its representative.
+func fillTable(tab *oaTable, t int, keys []uint64, prev []int32, edges []mergeEdge, reps *[]BucketRep) []mergeEdge {
+	for li, key := range keys {
+		last, occupied := tab.swap(key, int32(li))
+		switch {
+		case occupied:
+			edges = append(edges, mergeEdge{a: last, b: int32(li)})
+			if prev != nil {
+				prev[li] = last
 			}
-			if last, occupied := tabs[t].swap(key, int32(li)); occupied {
-				edges = append(edges, mergeEdge{a: last, b: int32(li)})
-				if prev != nil {
-					prev[t][li] = last
-				}
-			}
+		case reps != nil:
+			*reps = append(*reps, BucketRep{Key: key, Table: int32(t), Rep: int32(li)})
 		}
 	}
 	return edges
@@ -369,33 +360,39 @@ func (s *keyScratch) rebind(ds *record.Dataset, p *Plan, hf *HashFunc, cache *Ca
 	}
 }
 
-// keysFor fills out[t] with record rec's bucket key for each table t.
-func (s *keyScratch) keysFor(rec int32, out []uint64) {
-	if s.cache == nil {
-		r := &s.ds.Records[rec]
-		for h, n := range s.hf.FuncsPerHasher {
-			if n == 0 {
-				continue
-			}
-			lshfamily.HashRange(s.p.Hashers[h], 0, n, r, s.buf[h])
-			s.evals[h] += int64(n)
-			s.selems += lshfamily.SigElems(s.p.Hashers[h], 0, n, r)
-		}
-	}
-	for t, table := range s.hf.Tables {
-		key := xhash.CombineInit ^ xhash.SplitMix64(uint64(t)+0x51ed2701)
-		for _, part := range table.Parts {
-			var vals []uint64
-			if s.cache != nil {
-				vals = s.cache.Ensure(s.p, part.Hasher, int(rec), s.hf.FuncsPerHasher[part.Hasher])
-			} else {
-				vals = s.buf[part.Hasher]
-			}
-			for _, v := range vals[part.Start : part.Start+part.Count] {
-				key = xhash.Combine(key, v)
+// keysFor folds the bucket keys of records recs[lo:hi] into the
+// table-major key matrix: record li's key in table t goes to
+// keys[t*len(recs)+li].
+func (s *keyScratch) keysFor(recs []int32, lo, hi int, keys []uint64) {
+	n := len(recs)
+	for li := lo; li < hi; li++ {
+		rec := recs[li]
+		if s.cache == nil {
+			r := &s.ds.Records[rec]
+			for h, fns := range s.hf.FuncsPerHasher {
+				if fns == 0 {
+					continue
+				}
+				lshfamily.HashRange(s.p.Hashers[h], 0, fns, r, s.buf[h])
+				s.evals[h] += int64(fns)
+				s.selems += lshfamily.SigElems(s.p.Hashers[h], 0, fns, r)
 			}
 		}
-		out[t] = key
+		for t, table := range s.hf.Tables {
+			key := xhash.CombineInit ^ xhash.SplitMix64(uint64(t)+0x51ed2701)
+			for _, part := range table.Parts {
+				var vals []uint64
+				if s.cache != nil {
+					vals = s.cache.Ensure(s.p, part.Hasher, int(rec), s.hf.FuncsPerHasher[part.Hasher])
+				} else {
+					vals = s.buf[part.Hasher]
+				}
+				for _, v := range vals[part.Start : part.Start+part.Count] {
+					key = xhash.Combine(key, v)
+				}
+			}
+			keys[t*n+li] = key
+		}
 	}
 }
 

@@ -211,11 +211,10 @@ func benchQuery(b *datasets.Benchmark, plan *core.Plan, k int) (QueryBench, erro
 const benchHashMinParallel = 256
 
 // benchRun executes one instrumented filter over the benchmark.
-func benchRun(b *datasets.Benchmark, plan *core.Plan, k, workers, hashShards, hashMin int) (RunBench, error) {
+func benchRun(b *datasets.Benchmark, plan *core.Plan, k, workers, hashMin int) (RunBench, error) {
 	col := obs.NewCollector()
 	opts := core.Options{
-		K: k, Workers: workers, HashShards: hashShards,
-		HashMinParallel: hashMin,
+		K: k, Workers: workers, HashMinParallel: hashMin,
 		// Pin the pairwise stage serial: its parallel path may compare
 		// a few extra pairs per wave (a merge can land mid-wave), and
 		// BENCH counters are contractually identical across runs.
@@ -263,7 +262,7 @@ func benchRun(b *datasets.Benchmark, plan *core.Plan, k, workers, hashShards, ha
 
 // Bench runs the serial-vs-parallel benchmark for one named benchmark
 // dataset. workers <= 1 resolves the parallel run to GOMAXPROCS.
-func Bench(p *Provider, name string, b *datasets.Benchmark, k, workers, hashShards int) (*BenchReport, error) {
+func Bench(p *Provider, name string, b *datasets.Benchmark, k, workers int) (*BenchReport, error) {
 	if workers <= 1 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -275,10 +274,10 @@ func Bench(p *Provider, name string, b *datasets.Benchmark, k, workers, hashShar
 		Dataset: name, Records: b.Dataset.Len(), K: k, Seed: p.Seed,
 		GOMAXPROCS: runtime.GOMAXPROCS(0), NumCPU: runtime.NumCPU(),
 	}
-	if rep.Serial, err = benchRun(b, plan, k, 1, 0, 0); err != nil {
+	if rep.Serial, err = benchRun(b, plan, k, 1, 0); err != nil {
 		return nil, err
 	}
-	if rep.Parallel, err = benchRun(b, plan, k, workers, hashShards, benchHashMinParallel); err != nil {
+	if rep.Parallel, err = benchRun(b, plan, k, workers, benchHashMinParallel); err != nil {
 		return nil, err
 	}
 	if rep.Parallel.ElapsedMS > 0 {
@@ -324,7 +323,7 @@ func (r *BenchReport) WriteJSON(w io.Writer) error {
 
 // BenchAll runs the standard paperbench benchmark suite: one report
 // per dataset. quick trims to the smallest scales.
-func BenchAll(p *Provider, quick bool, skipImages bool, workers, hashShards int) ([]*BenchReport, error) {
+func BenchAll(p *Provider, quick bool, skipImages bool, workers int) ([]*BenchReport, error) {
 	type entry struct {
 		name string
 		b    *datasets.Benchmark
@@ -339,7 +338,7 @@ func BenchAll(p *Provider, quick bool, skipImages bool, workers, hashShards int)
 	}
 	var reports []*BenchReport
 	for _, e := range entries {
-		rep, err := Bench(p, e.name, e.b, e.k, workers, hashShards)
+		rep, err := Bench(p, e.name, e.b, e.k, workers)
 		if err != nil {
 			return reports, fmt.Errorf("experiments: bench %s: %w", e.name, err)
 		}

@@ -13,7 +13,7 @@ import (
 // exactly, and the report round-trips through its JSON form.
 func TestBenchReportDeterministicCounters(t *testing.T) {
 	p := NewProvider(42)
-	rep, err := Bench(p, "cora", p.Cora(1), 10, 4, 0)
+	rep, err := Bench(p, "cora", p.Cora(1), 10, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,7 +27,7 @@ func sliceBenchmark(b *datasets.Benchmark, n int) *datasets.Benchmark {
 
 // TestParallelHashEquivalenceOnBuilders runs the full Adaptive LSH
 // filter on a slice of each paper dataset builder (Cora, SpotSigs,
-// PopularImages) with the sharded hash stage at Workers 1/2/4/8, with
+// PopularImages) with the parallel hash stage at Workers 1/2/4/8, with
 // and without the hash cache, forcing the parallel path with
 // HashMinParallel=1. Clusters, output and HashEvals must be
 // byte-identical to the serial run. The hash-stage share of ModelCost

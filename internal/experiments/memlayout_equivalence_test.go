@@ -98,10 +98,10 @@ type oracleCall struct {
 // hashOracle on a slice of each paper dataset builder. It replays
 // Algorithm 1's round inputs: H_1 over the whole slice, then each H_t
 // over every cluster H_{t-1} produced. Every call runs at workers
-// {1, 4} with MinParallel 1 (so both the serial and the sharded
-// insertion path run), with the signature cache on (one cache across
-// all rounds, as in a filter run) and off (streaming), and with a
-// bucket capture on and off. The partition, Collisions and Merges must
+// {1, 4} with MinParallel 1 (so tables fill both on one goroutine and
+// on parallel table workers), with the signature cache on (one cache
+// across all rounds, as in a filter run) and off (streaming), and with
+// a bucket capture on and off. The partition, Collisions and Merges must
 // equal the oracle's; a capture must hold the oracle's bucket heads;
 // and hash evaluations must equal the from-scratch count — per
 // (hasher, record) prefix growth with the cache, every function of

@@ -28,9 +28,6 @@ type Provider struct {
 	// keeps them byte-identical across machines with different core
 	// counts. cmd/paperbench -workers opts in to parallel runs.
 	Workers int
-	// HashShards is the bucket-map shard count of the parallel hash
-	// stage (core.Options.HashShards semantics; 0 means Workers).
-	HashShards int
 
 	mu    sync.Mutex
 	ds    map[string]*record.Dataset
@@ -151,7 +148,7 @@ func (p *Provider) RunAdaLSHConfig(b *datasets.Benchmark, k, khat int, cfg core.
 	if noise != 0 {
 		plan = plan.WithNoise(noise)
 	}
-	return core.Filter(b.Dataset, plan, core.Options{K: k, ReturnClusters: khat, Workers: p.workers(), HashShards: p.HashShards})
+	return core.Filter(b.Dataset, plan, core.Options{K: k, ReturnClusters: khat, Workers: p.workers()})
 }
 
 // RunLSHX runs the LSH-X blocking baseline (skipPairwise selects the
@@ -164,7 +161,7 @@ func (p *Provider) RunLSHX(b *datasets.Benchmark, x, k, khat int, skipPairwise b
 	}
 	return blocking.LSHXWithPlan(b.Dataset, b.Rule, plan, blocking.LSHXOptions{
 		X: x, K: k, ReturnClusters: khat, SkipPairwise: skipPairwise,
-		Workers: p.workers(), HashShards: p.HashShards, Seed: p.Seed,
+		Workers: p.workers(), Seed: p.Seed,
 	})
 }
 

@@ -227,8 +227,8 @@ func fingerprintBenchmark() *datasets.Benchmark {
 // TestQueryMatchesOracleOnBuilders pins every field of a point lookup's
 // result to queryOracle on a slice of each paper dataset builder and on
 // a synthetic fingerprint workload, for
-// indices captured serially (Workers 1) and on the sharded insertion
-// path (Workers 4, HashMinParallel 1), at probes {1, 2, 4} and m
+// indices captured serially (Workers 1) and by parallel table workers
+// (Workers 4, HashMinParallel 1), at probes {1, 2, 4} and m
 // {1, 3}, probing every indexed record and a perturbed copy of every
 // other one. Each index captures the slice, then a prefix of it, then
 // the slice again, so the recaptures reuse the arrays of the previous

@@ -39,7 +39,7 @@ type snapConfig struct {
 // restore — which the suite does deliberately, mimicking a warm
 // restart on the same host.
 func (c snapConfig) apply(s *core.Stream) {
-	s.SetWorkers(c.workers, 0)
+	s.SetWorkers(c.workers)
 	s.SetHashMinParallel(1)
 	// One plan for the whole session: replans re-run the wall-clock
 	// cost calibration, which is legitimately nondeterministic, so a

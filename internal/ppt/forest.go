@@ -32,14 +32,14 @@ type node struct {
 //
 // Concurrency contract: a Forest must only ever be touched by one
 // goroutine at a time — in the parallel hash stage, that is the
-// sequential dispatcher that applies the per-shard merge-edge lists
-// (internal/core ApplyHashOpt stage 3). Note that even logically
-// read-only operations mutate the structure: Root performs path
-// halving, so SameTree, Roots and any lookup rewrite parent pointers.
-// The parallel pipeline therefore keeps shard workers away from the
-// forest entirely; they emit edge lists over record indices, and all
-// MakeTree/Merge/Root calls happen on the dispatcher after the workers
-// are joined. TestHashShardedInsertionRace exercises this under -race.
+// dispatcher that applies each table's merge-edge list (internal/core's
+// insertRound). Note that even logically read-only operations mutate
+// the structure: Root performs path halving, so SameTree, Roots and any
+// lookup rewrite parent pointers. The parallel pipeline therefore keeps
+// its table workers away from the forest entirely; they emit edge lists
+// over record indices, and all MakeTree/Merge/Root calls happen on the
+// dispatcher after the workers are joined.
+// TestHashShardedInsertionRace exercises this under -race.
 type Forest struct {
 	nodes     []node
 	numLeaves int

@@ -29,8 +29,16 @@ package server
 
 import "encoding/json"
 
+// MaxSessionParallelism is the most workers, and the most shards, a
+// CreateSessionRequest may ask for. Both size memory at creation or on
+// the first top-k run (one state per shard, workers × 1024 pair slots
+// per pairwise wave), so a larger value is refused with 400 before any
+// session state is built.
+const MaxSessionParallelism = 256
+
 // CreateSessionRequest creates a named session. Only Rule is required;
-// zero knobs take the server defaults.
+// zero knobs take the server defaults. Workers and Shards are bounded
+// by MaxSessionParallelism.
 type CreateSessionRequest struct {
 	// ID names the session ([A-Za-z0-9._-], also the checkpoint file
 	// stem); empty lets the server assign one.
@@ -49,15 +57,16 @@ type CreateSessionRequest struct {
 	ReturnClusters int `json:"khat,omitempty"`
 	// Seed seeds the hashing plan design.
 	Seed uint64 `json:"seed,omitempty"`
-	// Workers / HashShards tune the parallel stages (Config.Workers
-	// semantics).
-	Workers    int `json:"workers,omitempty"`
-	HashShards int `json:"hash_shards,omitempty"`
+	// Workers sizes the parallel stages (Config.Workers semantics: 0
+	// means every CPU). A negative value, or one above
+	// MaxSessionParallelism, is refused (400).
+	Workers int `json:"workers,omitempty"`
 	// Shards > 1 runs the session's top-k queries through the sharded
 	// scale-out engine (records partitioned across that many engine
 	// shards with a cross-shard reconcile; byte-identical output).
 	// Sharded sessions do not serve point queries — POST .../query
-	// returns 409 exactly as before a first top-k run.
+	// returns 409 exactly as before a first top-k run. A negative value,
+	// or one above MaxSessionParallelism, is refused (400).
 	Shards int `json:"shards,omitempty"`
 	// QueryProbes / QueryRefresh tune point lookups
 	// (Stream.SetQueryProbes / SetQueryRefresh semantics). A negative

@@ -67,13 +67,25 @@ func New(opts Options) *Server {
 
 var idPattern = regexp.MustCompile(`^[A-Za-z0-9][A-Za-z0-9._-]{0,63}$`)
 
-// newSession wires one stream into a session (shared by the create
-// handler and the warm-boot path). ruleStr is the canonical rule
-// formatting echoed in session metadata.
-func (sv *Server) newSession(id, ruleStr string, st *core.Stream, req CreateSessionRequest, restored bool) (*Session, error) {
+// validate refuses the request's out-of-range knobs. Both session
+// constructors call it before building anything.
+func (req *CreateSessionRequest) validate() error {
 	if req.QueryProbes < 0 {
-		return nil, fmt.Errorf("server: query_probes %d: want >= 0", req.QueryProbes)
+		return fmt.Errorf("server: query_probes %d: want >= 0", req.QueryProbes)
 	}
+	if req.Workers < 0 || req.Workers > MaxSessionParallelism {
+		return fmt.Errorf("server: workers %d: want 0..%d", req.Workers, MaxSessionParallelism)
+	}
+	if req.Shards < 0 || req.Shards > MaxSessionParallelism {
+		return fmt.Errorf("server: shards %d: want 0..%d", req.Shards, MaxSessionParallelism)
+	}
+	return nil
+}
+
+// newSession wires one stream into a session (shared by the create
+// handler and the warm-boot path, each of which validated req).
+// ruleStr is the canonical rule formatting echoed in session metadata.
+func (sv *Server) newSession(id, ruleStr string, st *core.Stream, req CreateSessionRequest, restored bool) (*Session, error) {
 	s := &Session{
 		id: id, rule: ruleStr, st: st,
 		k: req.K, khat: req.ReturnClusters,
@@ -86,14 +98,12 @@ func (sv *Server) newSession(id, ruleStr string, st *core.Stream, req CreateSess
 		s.k = sv.opts.DefaultK
 	}
 	st.SetObs(s.col)
-	st.SetWorkers(req.Workers, req.HashShards)
+	st.SetWorkers(req.Workers)
 	if req.Shards > 1 {
 		if _, err := shard.Attach(st, req.Shards); err != nil {
 			return nil, err
 		}
 		s.shards = req.Shards
-	} else if req.Shards < 0 {
-		return nil, fmt.Errorf("server: shards %d: want >= 0", req.Shards)
 	}
 	if req.QueryProbes != 0 {
 		st.SetQueryProbes(req.QueryProbes)
@@ -125,6 +135,9 @@ func (sv *Server) newSession(id, ruleStr string, st *core.Stream, req CreateSess
 // Create registers a new session. An empty request ID gets a generated
 // one; an existing ID is a conflict.
 func (sv *Server) Create(req CreateSessionRequest) (*Session, error) {
+	if err := req.validate(); err != nil {
+		return nil, err
+	}
 	rule, err := rulespec.Parse(req.Rule)
 	if err != nil {
 		return nil, fmt.Errorf("server: parsing rule: %w", err)
@@ -225,6 +238,9 @@ func (sv *Server) LoadDir(dir string) ([]string, error) {
 		// The stored probe count is the session's default, on the
 		// read-only lookup path as on the stream's.
 		req := CreateSessionRequest{CheckpointEvery: sv.opts.CheckpointEvery, QueryProbes: st.QueryProbes()}
+		if err := req.validate(); err != nil {
+			return ids, fmt.Errorf("server: warm boot %s: %w", path, err)
+		}
 		s, err := sv.newSession(id, ruleStr, st, req, true)
 		if err != nil {
 			return ids, fmt.Errorf("server: warm boot %s: %w", path, err)

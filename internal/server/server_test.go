@@ -454,7 +454,9 @@ func TestIngestOverBodyCap(t *testing.T) {
 // TestNegativeProbesRejected: a negative probe count is refused with
 // 400 at the HTTP boundary. At creation no session is made. Per lookup
 // the refusal comes before any lock, so a stale session's lookup
-// neither re-clusters (hash_evals) nor freshens the index.
+// neither re-clusters (hash_evals) nor freshens the index. Worker and
+// shard counts outside 0..MaxSessionParallelism are refused at creation
+// the same way.
 func TestNegativeProbesRejected(t *testing.T) {
 	srv, c := startServer(t, server.Options{})
 	wire, _, _ := testRecords(t, 60, 4, 37)
@@ -463,6 +465,18 @@ func TestNegativeProbesRejected(t *testing.T) {
 	}
 	if srv.Lookup("neg") != nil {
 		t.Fatal("session created with query_probes -2")
+	}
+	for _, req := range []server.CreateSessionRequest{
+		{ID: "w-neg", Rule: testRule, Workers: -1},
+		{ID: "w-big", Rule: testRule, Workers: server.MaxSessionParallelism + 1},
+		{ID: "s-big", Rule: testRule, Shards: server.MaxSessionParallelism + 1},
+	} {
+		if _, err := c.CreateSession(req); status(err) != http.StatusBadRequest {
+			t.Fatalf("create with workers %d, shards %d: got %v, want 400", req.Workers, req.Shards, err)
+		}
+		if srv.Lookup(req.ID) != nil {
+			t.Fatalf("session created with workers %d, shards %d", req.Workers, req.Shards)
+		}
 	}
 
 	if _, err := c.CreateSession(server.CreateSessionRequest{ID: "stale", Rule: testRule, K: 3, QueryRefresh: 10}); err != nil {

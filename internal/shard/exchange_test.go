@@ -1,8 +1,10 @@
 package shard
 
 import (
+	"cmp"
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"github.com/topk-er/adalsh/internal/core"
@@ -87,7 +89,8 @@ func equalReps(a, b []core.BucketRep) bool {
 // keys folded from lshfamily.HashRange values into one Go map per
 // table, each co-bucket record joined to its bucket's first record as
 // a two-member local component, and that first record as the bucket's
-// representative, in bucket creation order.
+// representative, sorted by (Table, Rep): table by table, each table's
+// buckets in order of their first members.
 func scratchBuckets(s *shardState, plan *core.Plan, hf *core.HashFunc) ([][]int32, []core.BucketRep) {
 	var subs [][]int32
 	var reps []core.BucketRep
@@ -116,6 +119,9 @@ func scratchBuckets(s *shardState, plan *core.Plan, hf *core.HashFunc) ([][]int3
 			reps = append(reps, core.BucketRep{Key: key, Table: int32(t), Rep: int32(li)})
 		}
 	}
+	slices.SortFunc(reps, func(a, b core.BucketRep) int {
+		return cmp.Or(cmp.Compare(a.Table, b.Table), cmp.Compare(a.Rep, b.Rep))
+	})
 	return subs, reps
 }
 

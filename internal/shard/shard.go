@@ -347,9 +347,10 @@ func (e *Engine) collect(plan *core.Plan, opts core.Options) (*core.Result, erro
 // stream to emit as in core.FilterIncremental, and clusters, stats and
 // counters are byte-identical to the single engine's with its hash
 // cache on. The engine's own Options are not consulted. Of opts, the
-// single engine's round knobs (Cache, HashPool, HashShards,
-// HashMinParallel, DisableHashCache) do not apply, and Capture is an
-// error. stats may be nil.
+// single engine's round knobs (Cache, HashPool, HashMinParallel,
+// DisableHashCache) do not apply, and Capture is an error. Workers
+// bounds the concurrent shard exports and boundary probes; each export
+// fills its tables on one goroutine. stats may be nil.
 func (e *Engine) FilterIncremental(plan *core.Plan, opts core.Options, emit func(core.Cluster) bool, stats *core.Stats) error {
 	e.begin(plan, opts)
 	if stats == nil {

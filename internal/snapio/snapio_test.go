@@ -219,7 +219,7 @@ func TestSnapshotLayoutMatrix(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := core.NewStream(jacRule(), core.SequenceConfig{Seed: 11, Levels: 4})
-			s.SetWorkers(tc.workers, 0)
+			s.SetWorkers(tc.workers)
 			s.SetHashMinParallel(1)
 			addEntities(s, xhash.NewRNG(11), 16, 4, 12)
 			if _, err := s.TopK(3); err != nil {
@@ -233,7 +233,7 @@ func TestSnapshotLayoutMatrix(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			r.SetWorkers(tc.workers, 0)
+			r.SetWorkers(tc.workers)
 			r.SetHashMinParallel(1)
 			want, err := s.TopK(3)
 			if err != nil {
