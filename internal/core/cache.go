@@ -103,6 +103,14 @@ func (c *Cache) Ensure(p *Plan, h, rec, n int) []uint64 {
 	return buf
 }
 
+// addHits counts n lookups served from the memoized prefixes without an
+// Ensure call: the key fold looks each (record, hasher) prefix up once
+// per round and adds here the hits its other table parts would have
+// counted, keeping cache_hits per table part.
+func (c *Cache) addHits(n int64) {
+	atomic.AddInt64(&c.hits, n)
+}
+
 // HashEvals reports the number of base hash evaluations per hasher.
 func (c *Cache) HashEvals() []int64 {
 	out := make([]int64, len(c.evals))

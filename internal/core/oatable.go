@@ -196,7 +196,9 @@ func (p *HashPool) getScratch(ds *record.Dataset, pl *Plan, hf *HashFunc, cache 
 	return s
 }
 
-// putScratch returns a scratch to the free list.
+// putScratch releases a scratch's references to its invocation and
+// returns it to the free list.
 func (p *HashPool) putScratch(s *keyScratch) {
+	s.release()
 	p.scr = append(p.scr, s)
 }

@@ -11,7 +11,6 @@ import (
 	"github.com/topk-er/adalsh/internal/lshfamily"
 	"github.com/topk-er/adalsh/internal/obs"
 	"github.com/topk-er/adalsh/internal/record"
-	"github.com/topk-er/adalsh/internal/xhash"
 )
 
 // This file implements the online point-query mode: "which entity is
@@ -170,6 +169,8 @@ type QueryIndex struct {
 	plan *Plan
 	ds   *record.Dataset
 	hf   *HashFunc
+	// seeds[t] is hf's table t bucket-key seed (see tableSeeds).
+	seeds []uint64
 	// recs maps local bucket index li to dataset record ID. Round 1
 	// hashes every record in ID order, so li == recs[li] and sorting
 	// local indices sorts record IDs.
@@ -223,6 +224,7 @@ func (ix *QueryIndex) Release(pool *HashPool) {
 // invocation and returns the bucket capture for ApplyHashOpt to fill.
 func (ix *QueryIndex) beginCapture(ds *record.Dataset, plan *Plan, recs []int32) *BucketCapture {
 	ix.plan, ix.ds, ix.hf = plan, ds, plan.Funcs[0]
+	ix.seeds = tableSeeds(ix.seeds, len(ix.hf.Tables))
 	ix.recs = recs
 	if cap(ix.clusterOf) < ds.Len() {
 		ix.clusterOf = make([]int32, ds.Len())
@@ -431,20 +433,19 @@ func (ix *QueryIndex) Query(q *record.Record, m int, opts QueryOptions) (*QueryR
 		lshfamily.ProbeRange(ix.plan.Hashers[h], 0, n, q, alts[h])
 	}
 
-	// keyFor folds table t's bucket key exactly as the hash stage's
-	// keyScratch.keysFor does, optionally substituting one base
-	// function's runner-up value (the single-flip perturbation).
+	// keyFor folds table t's bucket key with the hash stage's
+	// bucketKey, optionally substituting one base function's runner-up
+	// value (the single-flip perturbation) for the duration of the
+	// fold.
 	keyFor := func(t int, flipHasher, flipFn int) uint64 {
-		key := xhash.CombineInit ^ xhash.SplitMix64(uint64(t)+0x51ed2701)
-		for _, part := range hf.Tables[t].Parts {
-			for fn := part.Start; fn < part.Start+part.Count; fn++ {
-				v := vals[part.Hasher][fn]
-				if part.Hasher == flipHasher && fn == flipFn {
-					v = alts[part.Hasher][fn].Alt
-				}
-				key = xhash.Combine(key, v)
-			}
+		if flipHasher < 0 {
+			return bucketKey(ix.seeds[t], hf.Tables[t].Parts, vals)
 		}
+		v := &vals[flipHasher][flipFn]
+		orig := *v
+		*v = alts[flipHasher][flipFn].Alt
+		key := bucketKey(ix.seeds[t], hf.Tables[t].Parts, vals)
+		*v = orig
 		return key
 	}
 

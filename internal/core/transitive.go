@@ -188,8 +188,7 @@ func insertRound(ds *record.Dataset, p *Plan, hf *HashFunc, cache *Cache, recs [
 	run(chunks, func(i int) {
 		s := scratches[i]
 		s.keysFor(recs, min(i*chunk, n), min((i+1)*chunk, n), keys)
-		s.flushEvals(evals)
-		s.flushSigElems(selems)
+		s.flush(evals, selems)
 	})
 	for _, s := range scratches {
 		pool.putScratch(s)
@@ -313,63 +312,103 @@ func fillTable(tab *oaTable, t int, keys []uint64, prev []int32, edges []mergeEd
 // keyScratch computes a record's bucket keys, either through the
 // shared cache (concurrent-safe across distinct records) or into
 // private per-hasher buffers when streaming. Scratches are recycled
-// through the HashPool; rebind re-targets one at an invocation.
+// through the HashPool; rebind re-targets one at an invocation and
+// release drops its references to the invocation's inputs.
 type keyScratch struct {
 	ds    *record.Dataset
 	p     *Plan
 	hf    *HashFunc
 	cache *Cache
+	// seeds[t] is table t's bucket-key seed (see tableSeeds).
+	seeds []uint64
+	// parts[h] counts the table parts of hf that read hasher h; a
+	// record's keys need hasher h's values iff parts[h] > 0.
+	parts []int
+	// views[h] holds the current record's values of hasher h: a view
+	// into the cache's arena, or buf[h] when streaming.
+	views [][]uint64
+	// hits counts the cache lookups the key fold saves: one Ensure per
+	// (record, hasher) stands in for parts[h] per-part lookups, so the
+	// other parts[h]-1 are hits, flushed into the cache by flush.
+	hits int64
 	// stream buffers and per-hasher eval counters, used only when
 	// cache == nil (cached evaluations count through the Cache).
 	buf   [][]uint64
 	evals []int64
 	// selems accumulates streamed set-element hashes (HashStats.
-	// SigElems), flushed by flushSigElems alongside the eval counters.
+	// SigElems), flushed alongside the eval counters.
 	selems int64
 }
 
 // rebind points the scratch at one invocation's inputs, reusing the
-// streaming buffers of previous invocations when their capacity
-// suffices.
+// buffers of previous invocations when their capacity suffices.
 func (s *keyScratch) rebind(ds *record.Dataset, p *Plan, hf *HashFunc, cache *Cache) {
 	s.ds, s.p, s.hf, s.cache = ds, p, hf, cache
-	s.selems = 0
+	s.hits, s.selems = 0, 0
+	nh := len(p.Hashers)
+	s.seeds = tableSeeds(s.seeds, len(hf.Tables))
+	s.parts = resize(s.parts, nh)
+	clear(s.parts)
+	for _, table := range hf.Tables {
+		for _, part := range table.Parts {
+			s.parts[part.Hasher]++
+		}
+	}
+	s.views = resize(s.views, nh)
 	if cache != nil {
 		// Cached invocations count evals through the Cache; an empty
-		// counter slice keeps flushEvals a no-op without freeing the
-		// backing array for later streaming reuse.
+		// counter slice keeps flush's eval step a no-op without
+		// freeing the backing array for later streaming reuse.
 		s.evals = s.evals[:0]
 		return
 	}
-	if cap(s.buf) < len(p.Hashers) {
-		s.buf = make([][]uint64, len(p.Hashers))
-	}
-	s.buf = s.buf[:len(p.Hashers)]
+	s.buf = resize(s.buf, nh)
 	for h, n := range hf.FuncsPerHasher {
-		if cap(s.buf[h]) < n {
-			s.buf[h] = make([]uint64, n)
-		}
-		s.buf[h] = s.buf[h][:n]
+		s.buf[h] = resize(s.buf[h], n)
+		s.views[h] = s.buf[h]
 	}
-	if cap(s.evals) < len(p.Hashers) {
-		s.evals = make([]int64, len(p.Hashers))
+	s.evals = resize(s.evals, nh)
+	clear(s.evals)
+}
+
+// release drops the scratch's references to its invocation's inputs
+// before the scratch returns to the pool, so a pooled scratch keeps no
+// dataset, plan or cache alive — in particular no arena of a cache the
+// owner has since replaced.
+func (s *keyScratch) release() {
+	s.ds, s.p, s.hf, s.cache = nil, nil, nil, nil
+	clear(s.views)
+}
+
+// resize returns s with length n, reallocated only when its capacity
+// is short. Retained elements keep their old values.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
 	}
-	s.evals = s.evals[:len(p.Hashers)]
-	for h := range s.evals {
-		s.evals[h] = 0
-	}
+	return s[:n]
 }
 
 // keysFor folds the bucket keys of records recs[lo:hi] into the
 // table-major key matrix: record li's key in table t goes to
-// keys[t*len(recs)+li].
+// keys[t*len(recs)+li]. Each record's values are looked up once per
+// hasher its tables read — one Cache.Ensure per (record, hasher) —
+// and every table's key is folded from those views.
 func (s *keyScratch) keysFor(recs []int32, lo, hi int, keys []uint64) {
 	n := len(recs)
+	fph := s.hf.FuncsPerHasher
 	for li := lo; li < hi; li++ {
 		rec := recs[li]
-		if s.cache == nil {
+		if s.cache != nil {
+			for h, parts := range s.parts {
+				if parts > 0 {
+					s.views[h] = s.cache.Ensure(s.p, h, int(rec), fph[h])
+					s.hits += int64(parts - 1)
+				}
+			}
+		} else {
 			r := &s.ds.Records[rec]
-			for h, fns := range s.hf.FuncsPerHasher {
+			for h, fns := range fph {
 				if fns == 0 {
 					continue
 				}
@@ -379,46 +418,56 @@ func (s *keyScratch) keysFor(recs []int32, lo, hi int, keys []uint64) {
 			}
 		}
 		for t, table := range s.hf.Tables {
-			key := xhash.CombineInit ^ xhash.SplitMix64(uint64(t)+0x51ed2701)
-			for _, part := range table.Parts {
-				var vals []uint64
-				if s.cache != nil {
-					vals = s.cache.Ensure(s.p, part.Hasher, int(rec), s.hf.FuncsPerHasher[part.Hasher])
-				} else {
-					vals = s.buf[part.Hasher]
-				}
-				for _, v := range vals[part.Start : part.Start+part.Count] {
-					key = xhash.Combine(key, v)
-				}
+			keys[t*n+li] = bucketKey(s.seeds[t], table.Parts, s.views)
+		}
+	}
+}
+
+// flush adds the scratch's counts into their shared destinations, once
+// per worker chunk: the saved lookups into the cache's hits, the
+// streamed evals into evals and the streamed element hashes into
+// selems (shared across workers, hence the atomics; nil destinations
+// do not count). rebind zeroes the counts for the next invocation.
+func (s *keyScratch) flush(evals []int64, selems *int64) {
+	if s.hits != 0 {
+		s.cache.addHits(s.hits)
+	}
+	if evals != nil {
+		for h, n := range s.evals {
+			if n != 0 {
+				atomic.AddInt64(&evals[h], n)
 			}
-			keys[t*n+li] = key
 		}
+	}
+	if selems != nil && s.selems != 0 {
+		atomic.AddInt64(selems, s.selems)
 	}
 }
 
-// flushEvals adds the scratch's streamed eval counts into dst (shared
-// across workers, hence the atomics). No-op when either side does not
-// count.
-func (s *keyScratch) flushEvals(dst []int64) {
-	if s.evals == nil || dst == nil {
-		return
+// tableSeeds returns the bucket-key seeds of z tables in dst's
+// storage: table t's key starts at CombineInit ^ SplitMix64(t +
+// 0x51ed2701), so equal part values in different tables give
+// different keys.
+func tableSeeds(dst []uint64, z int) []uint64 {
+	dst = resize(dst, z)
+	for t := range dst {
+		dst[t] = xhash.CombineInit ^ xhash.SplitMix64(uint64(t)+0x51ed2701)
 	}
-	for h, n := range s.evals {
-		if n != 0 {
-			atomic.AddInt64(&dst[h], n)
-		}
-	}
+	return dst
 }
 
-// flushSigElems adds the scratch's streamed element-hash count into dst
-// (shared across workers, hence the atomic). No-op when either side
-// does not count.
-func (s *keyScratch) flushSigElems(dst *int64) {
-	if dst == nil || s.selems == 0 {
-		return
+// bucketKey folds one table's bucket key from its seed: Combine over
+// the values of each part in order, vals[h] holding hasher h's values
+// (at least the table's prefix). It is the one production spelling of
+// a bucket key; the hash stage and point lookups both call it.
+func bucketKey(seed uint64, parts []TablePart, vals [][]uint64) uint64 {
+	key := seed
+	for _, part := range parts {
+		for _, v := range vals[part.Hasher][part.Start : part.Start+part.Count] {
+			key = xhash.Combine(key, v)
+		}
 	}
-	atomic.AddInt64(dst, s.selems)
-	s.selems = 0
+	return key
 }
 
 // CollectClusters converts a forest over indices into recs back to

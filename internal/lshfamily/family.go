@@ -38,10 +38,12 @@ type Hasher interface {
 // BatchHasher is an optional Hasher extension: HashBatch evaluates the
 // contiguous function range [lo, hi) on one record in a single call,
 // writing Hash(lo+i, r) into out[i]. Batching lets a family amortize
-// per-call work over the range — MinHash reads the record's set once
-// for the whole range instead of once per function — and saves one
-// interface dispatch per base evaluation on the signature hot path.
-// The results are identical to calling Hash function by function.
+// per-call work over the range — the field is resolved and checked
+// once, and MinHash and the projection families evaluate four
+// functions per pass over the record in independent register chains —
+// and saves one interface dispatch per base evaluation on the
+// signature hot path. The results are identical to calling Hash
+// function by function.
 type BatchHasher interface {
 	Hasher
 	HashBatch(lo, hi int, r *record.Record, out []uint64)
@@ -126,36 +128,65 @@ func (h *Hyperplane) Hash(fn int, r *record.Record) uint64 {
 	if len(v) != h.dim {
 		panic(fmt.Sprintf("lshfamily: hyperplane dim %d applied to vector of dim %d", h.dim, len(v)))
 	}
-	plane := h.planes[fn]
-	var dot float64
-	for d, x := range v {
-		dot += x * plane[d]
-	}
-	if dot >= 0 {
-		return 1
-	}
-	return 0
+	return side(project(v, h.planes[fn], 0))
 }
 
 // HashBatch implements BatchHasher: the vector field is resolved and
-// dimension-checked once for the whole range.
+// dimension-checked once for the whole range, and project4 evaluates
+// four planes per pass over the vector, with project taking the last
+// hi-lo mod 4.
 func (h *Hyperplane) HashBatch(lo, hi int, r *record.Record, out []uint64) {
 	v := r.Fields[h.field].(record.Vector)
 	if len(v) != h.dim {
 		panic(fmt.Sprintf("lshfamily: hyperplane dim %d applied to vector of dim %d", h.dim, len(v)))
 	}
-	for fn := lo; fn < hi; fn++ {
-		plane := h.planes[fn]
-		var dot float64
-		for d, x := range v {
-			dot += x * plane[d]
-		}
-		if dot >= 0 {
-			out[fn-lo] = 1
-		} else {
-			out[fn-lo] = 0
-		}
+	planes := h.planes[lo:hi]
+	out = out[:len(planes)]
+	i := 0
+	for ; i+4 <= len(planes); i += 4 {
+		d0, d1, d2, d3 := project4(v, planes[i:i+4], 0, 0, 0, 0)
+		out[i], out[i+1], out[i+2], out[i+3] = side(d0), side(d1), side(d2), side(d3)
 	}
+	for ; i < len(planes); i++ {
+		out[i] = side(project(v, planes[i], 0))
+	}
+}
+
+// project returns dot plus the dot product of v and plane, adding the
+// x*plane[d] terms in d order. The projection families' Hash and
+// their batch tails both call it.
+func project(v record.Vector, plane []float64, dot float64) float64 {
+	plane = plane[:len(v)]
+	for d, x := range v {
+		dot += x * plane[d]
+	}
+	return dot
+}
+
+// project4 is project over four planes in one pass over v, one
+// accumulator per plane starting at d0..d3. Each accumulator adds the
+// same terms in the same order and expression shape as project, so
+// its result is bit-identical to project's (a compiler that fuses
+// multiply-adds fuses both alike); the independent chains keep the
+// adds from waiting on each other.
+func project4(v record.Vector, planes [][]float64, d0, d1, d2, d3 float64) (float64, float64, float64, float64) {
+	p0, p1, p2, p3 := planes[0][:len(v)], planes[1][:len(v)], planes[2][:len(v)], planes[3][:len(v)]
+	for d, x := range v {
+		d0 += x * p0[d]
+		d1 += x * p1[d]
+		d2 += x * p2[d]
+		d3 += x * p3[d]
+	}
+	return d0, d1, d2, d3
+}
+
+// side is Hash's sign bit of a dot product: 1 on the non-negative side
+// of the hyperplane, 0 otherwise.
+func side(dot float64) uint64 {
+	if dot >= 0 {
+		return 1
+	}
+	return 0
 }
 
 // P implements Hasher.
@@ -207,50 +238,42 @@ func (m *MinHash) Hash(fn int, r *record.Record) uint64 {
 	return min
 }
 
-// HashBatch implements BatchHasher with the loops swapped: one pass
-// over the set's elements updates the running minimum of every
-// function in the range, so the set is read once instead of hi-lo
-// times.
+// HashBatch implements BatchHasher seed by seed: the functions go in
+// blocks of four, one pass over the set per block, with the four
+// running minima in registers and updated by a branchless min, then a
+// scalar tail for the last hi-lo mod 4 functions. Each function's
+// minimum is Hash's, bit for bit. Taking the minimum without a branch
+// matters on real data: whether an element hash lowers a minimum
+// depends on the record, so a branch on it mispredicts as records
+// rotate.
 func (m *MinHash) HashBatch(lo, hi int, r *record.Record, out []uint64) {
 	s := r.Fields[m.field].(record.Set)
+	seeds := m.seeds[lo:hi]
+	out = out[:len(seeds)]
 	if len(s) == 0 {
-		for fn := lo; fn < hi; fn++ {
-			out[fn-lo] = xhash.SplitMix64(m.seeds[fn] ^ 0xe7037ed1a0b428db)
+		for i, q := range seeds {
+			out[i] = xhash.SplitMix64(q ^ 0xe7037ed1a0b428db)
 		}
 		return
 	}
-	seeds := m.seeds[lo:hi]
-	out = out[:len(seeds)]
-	for i := range out {
-		out[i] = ^uint64(0)
+	i := 0
+	for ; i+4 <= len(seeds); i += 4 {
+		q0, q1, q2, q3 := seeds[i], seeds[i+1], seeds[i+2], seeds[i+3]
+		m0, m1, m2, m3 := ^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0)
+		for _, e := range s {
+			m0 = min(m0, xhash.SplitMix64(e^q0))
+			m1 = min(m1, xhash.SplitMix64(e^q1))
+			m2 = min(m2, xhash.SplitMix64(e^q2))
+			m3 = min(m3, xhash.SplitMix64(e^q3))
+		}
+		out[i], out[i+1], out[i+2], out[i+3] = m0, m1, m2, m3
 	}
-	// 4-wide unroll with hoisted bounds checks: the full-capacity
-	// reslices let the compiler prove the four lane accesses in-range
-	// once per block instead of once per access. Identical results to
-	// the scalar loop, function by function.
-	for _, e := range s {
-		i := 0
-		for ; i+4 <= len(seeds); i += 4 {
-			q := seeds[i : i+4 : i+4]
-			o := out[i : i+4 : i+4]
-			if h := xhash.SplitMix64(e ^ q[0]); h < o[0] {
-				o[0] = h
-			}
-			if h := xhash.SplitMix64(e ^ q[1]); h < o[1] {
-				o[1] = h
-			}
-			if h := xhash.SplitMix64(e ^ q[2]); h < o[2] {
-				o[2] = h
-			}
-			if h := xhash.SplitMix64(e ^ q[3]); h < o[3] {
-				o[3] = h
-			}
+	for ; i < len(seeds); i++ {
+		q, m0 := seeds[i], ^uint64(0)
+		for _, e := range s {
+			m0 = min(m0, xhash.SplitMix64(e^q))
 		}
-		for ; i < len(seeds); i++ {
-			if h := xhash.SplitMix64(e ^ seeds[i]); h < out[i] {
-				out[i] = h
-			}
-		}
+		out[i] = m0
 	}
 }
 

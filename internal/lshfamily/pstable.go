@@ -52,29 +52,35 @@ func (p *PStable) Hash(fn int, r *record.Record) uint64 {
 	if len(v) != p.dim {
 		panic(fmt.Sprintf("lshfamily: p-stable dim %d applied to vector of dim %d", p.dim, len(v)))
 	}
-	plane := p.planes[fn]
-	dot := p.offsets[fn]
-	for d, x := range v {
-		dot += x * plane[d]
-	}
-	return uint64(int64(math.Floor(dot / p.bucket)))
+	return p.quantize(project(v, p.planes[fn], p.offsets[fn]))
 }
 
 // HashBatch implements BatchHasher: the vector field is resolved and
-// dimension-checked once for the whole range.
+// dimension-checked once for the whole range, and project4 evaluates
+// four projections per pass over the vector, each accumulator starting
+// at its function's offset as in Hash, with project taking the last
+// hi-lo mod 4.
 func (p *PStable) HashBatch(lo, hi int, r *record.Record, out []uint64) {
 	v := r.Fields[p.field].(record.Vector)
 	if len(v) != p.dim {
 		panic(fmt.Sprintf("lshfamily: p-stable dim %d applied to vector of dim %d", p.dim, len(v)))
 	}
-	for fn := lo; fn < hi; fn++ {
-		plane := p.planes[fn]
-		dot := p.offsets[fn]
-		for d, x := range v {
-			dot += x * plane[d]
-		}
-		out[fn-lo] = uint64(int64(math.Floor(dot / p.bucket)))
+	planes, offsets := p.planes[lo:hi], p.offsets[lo:hi]
+	out = out[:len(planes)]
+	i := 0
+	for ; i+4 <= len(planes); i += 4 {
+		o := offsets[i : i+4 : i+4]
+		d0, d1, d2, d3 := project4(v, planes[i:i+4], o[0], o[1], o[2], o[3])
+		out[i], out[i+1], out[i+2], out[i+3] = p.quantize(d0), p.quantize(d1), p.quantize(d2), p.quantize(d3)
 	}
+	for ; i < len(planes); i++ {
+		out[i] = p.quantize(project(v, planes[i], offsets[i]))
+	}
+}
+
+// quantize maps a shifted projection to its bucket index.
+func (p *PStable) quantize(dot float64) uint64 {
+	return uint64(int64(math.Floor(dot / p.bucket)))
 }
 
 // P implements Hasher: the E2LSH collision probability at scaled
