@@ -151,8 +151,11 @@ func (c *Cache) Prefix(h, rec int) int {
 // MemBytes reports the cache's approximate resident size: signature
 // storage (arena pages) plus the per-record bookkeeping. The figure is
 // an estimate for capacity planning and the per-shard BENCH reports,
-// not an exact heap accounting.
+// not an exact heap accounting. A nil cache holds nothing.
 func (c *Cache) MemBytes() int64 {
+	if c == nil {
+		return 0
+	}
 	var total int64
 	for h := range c.arenas {
 		for _, p := range *c.arenas[h].pages.Load() {

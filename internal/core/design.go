@@ -233,8 +233,14 @@ func analyzeLeaves(ds *record.Dataset, subs []distance.Rule) ([]leafSpec, error)
 // flat And/Or over two or more leaves, where leaves are Thresholds or
 // WeightedAverages. Two-leaf compounds use the exact Programs 4-6 and
 // 7-10 of Appendix C; wider compounds use the N-way generalizations of
-// Appendix C.4 (hill-climbing for AND, budget DP for OR).
+// Appendix C.4 (hill-climbing for AND, budget DP for OR). A dataset
+// whose records do not fit the rule (distance.CheckFields) is refused.
 func DesignPlan(ds *record.Dataset, rule distance.Rule, cfg SequenceConfig) (*Plan, error) {
+	if ds.Len() > 0 {
+		if err := distance.CheckFields(rule, ds.Records[0].Fields); err != nil {
+			return nil, fmt.Errorf("core: %w", err)
+		}
+	}
 	cfg = cfg.withDefaults()
 	budgets := cfg.Budgets()
 

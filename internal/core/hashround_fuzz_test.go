@@ -107,23 +107,28 @@ func samePartition(a, b [][]int32) bool {
 // FuzzHashRound drives the one bucket-insertion loop on small decoded
 // inputs and compares every output with a Go-map model. The first byte
 // picks 0–8 single-function tables, the second a bucket-id universe of
-// 1–8 ids, and the rest fills up to 64 records, one bucket id per
-// table. ApplyHashOpt runs on one goroutine and on three table workers
-// (MinParallel 1), streaming and through a cache, with and without a
-// capture; ApplyHashExport runs streaming and cached. Partitions,
-// Collisions, Merges, a capture's bucket heads and predecessors, and the
-// exported representatives must all equal the model's. Zero tables,
-// fewer tables than workers and one record are all in reach.
+// 1–32 ids, and the rest fills up to 64 records, one bucket id per
+// table. A table that holds more than 8 keys outgrows the minimum size
+// mid-round, so tables grow in the first wave and later tables start
+// sized for an earlier table's keys. ApplyHashOpt runs on one
+// goroutine and on three table workers (MinParallel 1), streaming and
+// through a cache, with and without a capture; ApplyHashExport runs
+// streaming and cached. Partitions, Collisions, Merges, a capture's
+// bucket heads and predecessors, and the exported representatives must
+// all equal the model's. Zero tables, fewer tables than workers and
+// one record are all in reach.
 func FuzzHashRound(f *testing.F) {
 	f.Add([]byte{2, 3, 0, 1, 2, 0, 1, 1, 2, 2, 0, 0})
 	f.Add([]byte{0, 1, 5, 5, 5})
 	f.Add([]byte{5, 2, 1, 1, 1, 1, 1})
 	f.Add([]byte{8, 8, 7, 6, 5, 4, 3, 2, 1, 0, 0, 1, 2, 3, 4, 5, 6, 7, 1, 1, 1, 1, 1, 1, 1, 1})
+	f.Add([]byte{3, 31, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23,
+		24, 25, 26, 27, 28, 29, 30, 31, 0, 3, 6, 9, 12, 15, 18, 21, 24, 27, 30, 1, 4, 7})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 2 {
 			return
 		}
-		tables, universe := int(data[0])%9, int(data[1])%8+1
+		tables, universe := int(data[0])%9, int(data[1])%32+1
 		body := data[2:]
 		n := min(len(body)/max(tables, 1), 64)
 		h := idHasher{tables}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"unsafe"
+
 	"github.com/topk-er/adalsh/internal/record"
 	"github.com/topk-er/adalsh/internal/xhash"
 )
@@ -25,20 +27,33 @@ type oaTable struct {
 	used  int // live slots this epoch
 }
 
-// oaSizeFor returns the smallest power-of-two table size that keeps n
-// occupants under the 7/8 load-factor bound.
+// oaLoadNum/oaLoadDen is the table's one maximum load: a table of size
+// slots holds at most size*oaLoadNum/oaLoadDen keys. swap grows a table
+// past it and oaSizeFor sizes one within it, so a table sized for n
+// keys holds them without growing. At a load of 1/2 a miss — a new key
+// on insert, an absent key in a probe — scans 2.5 slots on average,
+// against 8.5 at 3/4 and 29 at 7/8 (measured in DESIGN.md, Memory
+// layout).
+const oaLoadNum, oaLoadDen = 1, 2
+
+// oaFits reports whether n keys keep a table of size slots within the
+// maximum load.
+func oaFits(n, size int) bool { return n*oaLoadDen <= size*oaLoadNum }
+
+// oaSizeFor returns the smallest power-of-two table size, at least 16,
+// that holds n keys within the maximum load.
 func oaSizeFor(n int) int {
 	size := 16
-	for size*7 < n*8 {
+	for !oaFits(n, size) {
 		size <<= 1
 	}
 	return size
 }
 
-// reset prepares the table for a fresh epoch sized for about n
-// occupants. An oversized recycled table is kept as is (probes stay
-// short and the epoch bump makes clearing free); an undersized one is
-// reallocated once here instead of growing step by step mid-insert.
+// reset prepares the table for a fresh epoch sized for about n keys.
+// An oversized recycled table is kept as is (probes stay short and the
+// epoch bump makes clearing free); an undersized one is reallocated
+// once here instead of growing step by step mid-insert.
 func (t *oaTable) reset(n int) {
 	if want := oaSizeFor(n); len(t.keys) < want {
 		t.keys = make([]uint64, want)
@@ -68,7 +83,7 @@ func (t *oaTable) swap(key uint64, val int32) (prev int32, occupied bool) {
 		if t.stamp[i] != t.epoch {
 			t.keys[i], t.vals[i], t.stamp[i] = key, val, t.epoch
 			t.used++
-			if t.used*8 >= len(t.keys)*7 {
+			if !oaFits(t.used, len(t.keys)) {
 				t.grow()
 			}
 			return 0, false
@@ -95,6 +110,11 @@ func (t *oaTable) lookup(key uint64) (int32, bool) {
 		}
 		i = (i + 1) & mask
 	}
+}
+
+// memBytes is the size of the table's key, value and stamp arrays.
+func (t *oaTable) memBytes() int64 {
+	return int64(len(t.keys)) * (8 + 4 + 4)
 }
 
 // grow doubles the table and re-inserts the live slots.
@@ -144,8 +164,23 @@ func NewHashPool() *HashPool {
 	return &HashPool{}
 }
 
-// getTable hands out an epoch-cleared table sized for about hint
-// occupants.
+// MemBytes reports the pool's retained memory: its free tables' key,
+// value and stamp arrays and its merge-edge lists. The tables a capture
+// or an export holds count with their holder, and the key scratches'
+// per-hasher buffers are left out.
+func (p *HashPool) MemBytes() int64 {
+	var total int64
+	for _, t := range p.tables {
+		total += t.memBytes()
+	}
+	for _, e := range p.edges {
+		total += int64(cap(e)) * int64(unsafe.Sizeof(mergeEdge{}))
+	}
+	return total
+}
+
+// getTable hands out an epoch-cleared table that holds hint keys
+// within the maximum load (see reset).
 func (p *HashPool) getTable(hint int) *oaTable {
 	var t *oaTable
 	if l := len(p.tables); l > 0 {

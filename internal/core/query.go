@@ -208,6 +208,32 @@ func (ix *QueryIndex) Built() bool { return ix != nil && ix.built }
 // order. Read-only.
 func (ix *QueryIndex) Clusters() []Cluster { return ix.clusters }
 
+// MemBytes reports the index's retained memory: its bucket tables'
+// key, value and stamp arrays, the bucket runs (the chains while a
+// capture runs), the prepared kernel's per-record arrays, the captured
+// record list and the cluster assignment. The records the kernel
+// points at are the dataset's, and the emitted clusters the run
+// result's.
+func (ix *QueryIndex) MemBytes() int64 {
+	if ix == nil {
+		return 0
+	}
+	total := int64(len(ix.recs)+cap(ix.clusterOf)) * 4
+	for _, t := range ix.buckets.tables {
+		total += t.memBytes()
+	}
+	for _, run := range ix.runs {
+		total += int64(cap(run)) * 4
+	}
+	for _, chain := range ix.buckets.prev {
+		total += int64(cap(chain)) * 4
+	}
+	if ix.kernel != nil {
+		total += ix.kernel.MemBytes()
+	}
+	return total
+}
+
 // Release recycles the index's retained bucket tables into pool and
 // marks the index unbuilt. A filtering run that captures into the
 // index afterwards rebuilds it from scratch.

@@ -421,6 +421,15 @@ func (s *Stream) QueryFresh() bool {
 // custom options.
 func (s *Stream) QueryIndex() *QueryIndex { return s.qix }
 
+// Cache exposes the stream's signature cache for memory accounting
+// (Cache.MemBytes): nil before the first TopK/TopKClusters run and
+// while a custom engine, which keeps its own, is attached.
+func (s *Stream) Cache() *Cache { return s.cache }
+
+// HashPool exposes the stream's hash-stage scratch pool for memory
+// accounting (HashPool.MemBytes).
+func (s *Stream) HashPool() *HashPool { return s.pool }
+
 // ensurePlan designs the plan on first use and re-designs it when the
 // dataset has outgrown the design-time size by the configured factor.
 // Re-designs keep the hash cache when the new plan's hasher

@@ -140,7 +140,11 @@ type bucketExport struct {
 // recycled, so a round that keeps no tables holds only min(Workers, z)
 // of them. Each bucket thus holds its last inserted record and every
 // collision yields one edge to the previous occupant, as a map from
-// key to last record would. A capture's predecessor cell prev[t][li]
+// key to last record would. A table holds one slot per distinct key,
+// not per record, so tables are sized by the keys they hold: the first
+// wave's start at the minimum size and grow as they fill, and every
+// later table starts sized for the most distinct keys an earlier table
+// of the round held. A capture's predecessor cell prev[t][li]
 // is written only by the worker filling table t. An export fills its
 // tables on the calling goroutine, records each bucket's first member
 // as its representative, and keeps the tables, as a capture does.
@@ -218,6 +222,10 @@ func insertRound(ds *record.Dataset, p *Plan, hf *HashFunc, cache *Cache, recs [
 	tabs := make([]*oaTable, slots)
 	edges := pool.edgeSlots(slots)
 	base := 0 // the first table of the current wave
+	// held is the most distinct keys any earlier table of the round
+	// held: the first wave's tables start at the minimum size and grow
+	// as they fill, and every later table starts sized for held keys.
+	held := 0
 	fill := func(i int) {
 		t := base + i
 		var tprev []int32
@@ -229,12 +237,13 @@ func insertRound(ds *record.Dataset, p *Plan, hf *HashFunc, cache *Cache, recs [
 	for ; base < z; base += slots {
 		wave := min(slots, z-base)
 		for i := range wave {
-			tabs[i] = pool.getTable(n)
+			tabs[i] = pool.getTable(held)
 		}
 		run(wave, fill)
 		// Only this goroutine touches the forest (the ppt concurrency
 		// contract).
 		for i := range wave {
+			held = max(held, tabs[i].used)
 			collisions += int64(len(edges[i]))
 			for _, e := range edges[i] {
 				if ra, rb := forest.Root(int(e.a)), forest.Root(int(e.b)); ra != rb {

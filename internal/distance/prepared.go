@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/bits"
 	"sync/atomic"
+	"unsafe"
 
 	"github.com/topk-er/adalsh/internal/record"
 )
@@ -82,6 +83,16 @@ type PreparedRule interface {
 	Probe(q *record.Record) (match func(j int) bool)
 	// Stats snapshots the kernel-effectiveness counters.
 	Stats() PreparedStats
+	// MemBytes reports the kernel's own per-record arrays: the field
+	// headers it keeps and the invariants it computed, not the field
+	// payloads, which stay the dataset's.
+	MemBytes() int64
+}
+
+// sliceBytes is the size of s's elements up to its length.
+func sliceBytes[T any](s []T) int64 {
+	var zero T
+	return int64(len(s)) * int64(unsafe.Sizeof(zero))
 }
 
 // Prepare builds the prepared kernel for rule over the records
@@ -158,6 +169,8 @@ func (k naiveKernel) Probe(q *record.Record) func(int) bool {
 }
 
 func (k naiveKernel) Stats() PreparedStats { return k.ctr.stats() }
+
+func (k naiveKernel) MemBytes() int64 { return 0 }
 
 // ---------------------------------------------------------------------------
 // Cosine
@@ -313,6 +326,10 @@ func (k *cosineKernel) match(va record.Vector, na, invA float64, j int) bool {
 
 func (k *cosineKernel) Stats() PreparedStats { return k.ctr.stats() }
 
+func (k *cosineKernel) MemBytes() int64 {
+	return sliceBytes(k.vecs) + sliceBytes(k.norm) + sliceBytes(k.inv)
+}
+
 // ---------------------------------------------------------------------------
 // Jaccard
 
@@ -437,6 +454,8 @@ func (k *jaccardKernel) match(sa record.Set, j int) bool {
 
 func (k *jaccardKernel) Stats() PreparedStats { return k.ctr.stats() }
 
+func (k *jaccardKernel) MemBytes() int64 { return sliceBytes(k.sets) }
+
 // ---------------------------------------------------------------------------
 // Euclidean
 
@@ -527,6 +546,8 @@ func (k *euclideanKernel) match(va record.Vector, j int) bool {
 }
 
 func (k *euclideanKernel) Stats() PreparedStats { return k.ctr.stats() }
+
+func (k *euclideanKernel) MemBytes() int64 { return sliceBytes(k.vecs) }
 
 // ---------------------------------------------------------------------------
 // Hamming
@@ -659,6 +680,10 @@ func (k *hammingKernel) match(ba record.Bits, onesA, bud, j int) bool {
 
 func (k *hammingKernel) Stats() PreparedStats { return k.ctr.stats() }
 
+func (k *hammingKernel) MemBytes() int64 {
+	return sliceBytes(k.bits) + sliceBytes(k.ones) + sliceBytes(k.budget)
+}
+
 // ---------------------------------------------------------------------------
 // Compound rules
 
@@ -692,6 +717,8 @@ func (k andKernel) Probe(q *record.Record) func(int) bool {
 
 func (k andKernel) Stats() PreparedStats { return k.ctr.stats() }
 
+func (k andKernel) MemBytes() int64 { return subsBytes(k.subs) }
+
 // orKernel short-circuits prepared sub-kernels in rule order, exactly
 // as Or.Match does.
 type orKernel struct {
@@ -722,6 +749,17 @@ func (k orKernel) Probe(q *record.Record) func(int) bool {
 
 func (k orKernel) Stats() PreparedStats { return k.ctr.stats() }
 
+func (k orKernel) MemBytes() int64 { return subsBytes(k.subs) }
+
+// subsBytes sums the sub-kernels' MemBytes.
+func subsBytes(subs []PreparedRule) int64 {
+	var total int64
+	for _, sub := range subs {
+		total += sub.MemBytes()
+	}
+	return total
+}
+
 // probeAll returns every sub-kernel's probe form for q, in rule order.
 func probeAll(subs []PreparedRule, q *record.Record) []func(int) bool {
 	out := make([]func(int) bool, len(subs))
@@ -741,6 +779,7 @@ func probeAll(subs []PreparedRule, q *record.Record) []func(int) bool {
 type preparedDistance interface {
 	distIdx(i, j int) float64
 	probe(q *record.Record) (dist func(j int) float64)
+	memBytes() int64 // PreparedRule.MemBytes for one field
 }
 
 // weightedKernel accumulates the per-field weighted distances in rule
@@ -830,6 +869,14 @@ func (k *weightedKernel) match(dist func(idx int) float64) bool {
 
 func (k *weightedKernel) Stats() PreparedStats { return k.ctr.stats() }
 
+func (k *weightedKernel) MemBytes() int64 {
+	total := sliceBytes(k.weights)
+	for _, part := range k.parts {
+		total += part.memBytes()
+	}
+	return total
+}
+
 // metricDist is the exact fallback distance for unknown metrics.
 type metricDist struct {
 	ds     *record.Dataset
@@ -841,6 +888,8 @@ type metricDist struct {
 func (p metricDist) distIdx(i, j int) float64 {
 	return p.metric.Distance(p.ds.Records[p.recs[i]].Fields[p.field], p.ds.Records[p.recs[j]].Fields[p.field])
 }
+
+func (p metricDist) memBytes() int64 { return 0 }
 
 func (p metricDist) probe(q *record.Record) func(int) float64 {
 	f := q.Fields[p.field]
@@ -867,6 +916,8 @@ func prepareCosineDist(ds *record.Dataset, field int, recs []int32) *cosineDist 
 }
 
 func (p *cosineDist) distIdx(i, j int) float64 { return p.dist(p.vecs[i], p.norm[i], j) }
+
+func (p *cosineDist) memBytes() int64 { return sliceBytes(p.vecs) + sliceBytes(p.norm) }
 
 func (p *cosineDist) probe(q *record.Record) func(int) float64 {
 	va := q.Fields[p.field].(record.Vector)
@@ -913,6 +964,8 @@ func prepareJaccardDist(ds *record.Dataset, field int, recs []int32) *jaccardDis
 
 func (p *jaccardDist) distIdx(i, j int) float64 { return JaccardSet(p.sets[i], p.sets[j]) }
 
+func (p *jaccardDist) memBytes() int64 { return sliceBytes(p.sets) }
+
 func (p *jaccardDist) probe(q *record.Record) func(int) float64 {
 	sa := q.Fields[p.field].(record.Set)
 	return func(j int) float64 { return JaccardSet(sa, p.sets[j]) }
@@ -937,6 +990,8 @@ func prepareEuclideanDist(ds *record.Dataset, field int, m Euclidean, recs []int
 }
 
 func (p *euclideanDist) distIdx(i, j int) float64 { return p.dist(p.vecs[i], j) }
+
+func (p *euclideanDist) memBytes() int64 { return sliceBytes(p.vecs) }
 
 func (p *euclideanDist) probe(q *record.Record) func(int) float64 {
 	va := q.Fields[p.field].(record.Vector)
@@ -976,6 +1031,8 @@ func prepareHammingDist(ds *record.Dataset, field int, recs []int32) *hammingDis
 }
 
 func (p *hammingDist) distIdx(i, j int) float64 { return HammingBits(p.bits[i], p.bits[j]) }
+
+func (p *hammingDist) memBytes() int64 { return sliceBytes(p.bits) }
 
 func (p *hammingDist) probe(q *record.Record) func(int) float64 {
 	ba := q.Fields[p.field].(record.Bits)

@@ -332,6 +332,38 @@ func TestPreparedStatsCount(t *testing.T) {
 	}
 }
 
+// TestPreparedMemBytes pins each kernel's MemBytes to the per-record
+// arrays it keeps: a 24-byte field header per record for Jaccard and
+// Euclidean, plus two float64 invariants for cosine, plus a popcount
+// and a budget for Hamming; compound kernels add their parts, and the
+// naive fallback keeps nothing of its own.
+func TestPreparedMemBytes(t *testing.T) {
+	ds := fuzzDataset(t, 30, 4, 64, 7)
+	recs := allIdx(20)
+	n := int64(len(recs))
+	jac := Threshold{Field: 1, Metric: Jaccard{}, MaxDistance: 0.5}
+	cos := Threshold{Field: 0, Metric: Cosine{}, MaxDistance: 0.3}
+	for _, c := range []struct {
+		name string
+		rule Rule
+		want int64
+	}{
+		{"jaccard", jac, 24 * n},
+		{"cosine", cos, 40 * n},
+		{"euclidean", Threshold{Field: 0, Metric: Euclidean{Scale: 1}, MaxDistance: 0.3}, 24 * n},
+		{"hamming", Threshold{Field: 2, Metric: Hamming{}, MaxDistance: 0.2}, 48 * n},
+		{"and", And{jac, cos}, 64 * n},
+		{"or", Or{jac, cos}, 64 * n},
+		{"weighted", WeightedAverage{Fields: []int{0, 1}, Metrics: []Metric{Cosine{}, Jaccard{}},
+			Weights: []float64{0.5, 0.5}, MaxDistance: 0.4}, 32*n + 24*n + 16},
+		{"custom", Threshold{Field: 0, Metric: customMetric{}, MaxDistance: 0.05}, 0},
+	} {
+		if got := Prepare(ds, c.rule, recs).MemBytes(); got != c.want {
+			t.Errorf("%s: MemBytes = %d, want %d", c.name, got, c.want)
+		}
+	}
+}
+
 // TestPreparedEuclideanBudgetBoundary pins the bit-exact squared-sum
 // budget: for a threshold exactly at an observed distance, the pair at
 // the boundary must match (d <= thr), and one ulp below must not.

@@ -137,6 +137,46 @@ func (r WeightedAverage) String() string {
 	return fmt.Sprintf("%s <= %.4f", strings.Join(parts, " + "), r.MaxDistance)
 }
 
+// CheckFields reports whether records with these fields can be
+// compared under r: every field the rule reads must exist and have the
+// kind its metric measures. Match panics on records that fail it.
+func CheckFields(r Rule, fields []record.Field) error {
+	check := func(f int, m Metric) error {
+		if f < 0 || f >= len(fields) {
+			return fmt.Errorf("distance: rule reads field %d, record has %d fields", f, len(fields))
+		}
+		if k := fields[f].Kind(); k != m.FieldKind() {
+			return fmt.Errorf("distance: rule measures field %d with %s, which needs a %v field, record has a %v", f, m.Name(), m.FieldKind(), k)
+		}
+		return nil
+	}
+	switch r := r.(type) {
+	case Threshold:
+		return check(r.Field, r.Metric)
+	case And:
+		for _, sub := range r {
+			if err := CheckFields(sub, fields); err != nil {
+				return err
+			}
+		}
+	case Or:
+		for _, sub := range r {
+			if err := CheckFields(sub, fields); err != nil {
+				return err
+			}
+		}
+	case WeightedAverage:
+		for i, f := range r.Fields {
+			if i < len(r.Metrics) {
+				if err := check(f, r.Metrics[i]); err != nil {
+					return err
+				}
+			}
+		}
+	}
+	return nil
+}
+
 // WithJaccardOPH returns a copy of the rule with every Jaccard metric
 // switched to the one-permutation signature family (Jaccard{OPH:
 // true}). Match semantics are identical — only the hash family the

@@ -15,7 +15,7 @@
 //	POST   /v1/sessions/{id}/records     ingest one record or a batch
 //	GET    /v1/sessions/{id}/topk        current top-k clusters
 //	POST   /v1/sessions/{id}/query       online point lookup
-//	GET    /v1/sessions/{id}/stats       obs counters + plan/replan state
+//	GET    /v1/sessions/{id}/stats       obs counters, plan/replan state, memory
 //	GET    /healthz                      liveness + session count
 //
 // Request bodies are capped at 32 MiB; a larger body is refused with
@@ -191,6 +191,14 @@ type StatsResponse struct {
 	// name (hash_evals, pair_comparisons, query_probes,
 	// checkpoint_failures, ...).
 	Counters map[string]int64 `json:"counters"`
+	// CacheBytes, PoolBytes and QueryIndexBytes account the session's
+	// retained hashing state: the signature cache (core.Cache.MemBytes),
+	// the hash stage's scratch pool (core.HashPool.MemBytes) and the
+	// point-query index (core.QueryIndex.MemBytes). A sharded session
+	// reports its shards' caches and pools summed, and keeps no index.
+	CacheBytes      int64 `json:"cache_bytes"`
+	PoolBytes       int64 `json:"pool_bytes"`
+	QueryIndexBytes int64 `json:"query_index_bytes"`
 }
 
 // HealthResponse is the GET /healthz response.

@@ -1,5 +1,10 @@
 package server
 
+import (
+	"github.com/topk-er/adalsh/internal/core"
+	"github.com/topk-er/adalsh/internal/shard"
+)
+
 // Test hooks: the integration suite lives in package server_test (it
 // drives the HTTP surface through internal/server/client, which
 // imports this package), so the white-box handles it needs are
@@ -30,3 +35,11 @@ func SetMaxBodyBytes(n int64) func() {
 	maxBodyBytes = n
 	return func() { maxBodyBytes = old }
 }
+
+// SessionStream exposes s's stream, whose structures the memory
+// accounting test reads directly.
+func SessionStream(s *Session) *core.Stream { return s.st }
+
+// SessionEngine exposes the sharded engine of a session with shards >
+// 1 (nil otherwise).
+func SessionEngine(s *Session) *shard.Engine { return s.eng }

@@ -100,10 +100,11 @@ func (sv *Server) newSession(id, ruleStr string, st *core.Stream, req CreateSess
 	st.SetObs(s.col)
 	st.SetWorkers(req.Workers)
 	if req.Shards > 1 {
-		if _, err := shard.Attach(st, req.Shards); err != nil {
+		eng, err := shard.Attach(st, req.Shards)
+		if err != nil {
 			return nil, err
 		}
-		s.shards = req.Shards
+		s.shards, s.eng = req.Shards, eng
 	}
 	if req.QueryProbes != 0 {
 		st.SetQueryProbes(req.QueryProbes)

@@ -2,6 +2,7 @@ package server_test
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -655,5 +656,137 @@ func TestCreateSessionFamily(t *testing.T) {
 	}
 	if _, err := c.CreateSession(server.CreateSessionRequest{ID: "bad", Rule: testRule, K: 3, Family: "simhash"}); err == nil {
 		t.Error("unknown family accepted at session creation")
+	}
+}
+
+// TestIngestRejectsMismatchedWidths: a vector whose dimension, or a
+// fingerprint whose width, differs from the session's is refused with
+// 400 at ingest, as a different field kind is, and the session keeps
+// serving. Ingest used to compare kinds only, so a FuzzHandlers input
+// ingested a 2-dimensional vector beside 4-dimensional ones and the
+// next TopK panicked in the cosine metric.
+func TestIngestRejectsMismatchedWidths(t *testing.T) {
+	_, c := startServer(t, server.Options{})
+	encode := func(f record.Field) server.WireRecord {
+		t.Helper()
+		wr, err := client.EncodeRecord(-1, f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return wr
+	}
+	for _, tc := range []struct {
+		rule      string
+		good, bad func(i int) record.Field
+	}{
+		{"cosine@0 <= 0.2",
+			func(i int) record.Field { return record.Vector{1, float64(i % 3), 2, 0.5} },
+			func(i int) record.Field { return record.Vector{1, 2} }},
+		{"hamming@0 <= 0.3",
+			func(i int) record.Field { return record.NewBits([]uint64{uint64(i % 3)}, 32) },
+			func(i int) record.Field { return record.NewBits([]uint64{1}, 48) }},
+	} {
+		if _, err := c.CreateSession(server.CreateSessionRequest{ID: "w", Rule: tc.rule}); err != nil {
+			t.Fatal(err)
+		}
+		var good []server.WireRecord
+		for i := range 6 {
+			good = append(good, encode(tc.good(i)))
+		}
+		if _, err := c.Ingest("w", good...); err != nil {
+			t.Fatalf("%s: %v", tc.rule, err)
+		}
+		if _, err := c.Ingest("w", encode(tc.bad(0))); status(err) != http.StatusBadRequest {
+			t.Errorf("%s: width mismatch: got %v, want 400", tc.rule, err)
+		}
+		if res, err := c.TopK("w", 2, 0); err != nil || res.Records != 6 {
+			t.Errorf("%s: topk after a refused ingest: %+v, %v; want 6 records", tc.rule, res, err)
+		}
+		if err := c.Delete("w"); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestIngestRejectsRecordsOutsideRule: a session's first record sets
+// its layout, so it must carry every field the rule reads, in the kind
+// the rule's metric measures; otherwise ingest refuses it with 400 and
+// the session stays empty. A FuzzHandlers input ingested vectors into
+// a Jaccard session, and the next TopK panicked calibrating the plan.
+func TestIngestRejectsRecordsOutsideRule(t *testing.T) {
+	_, c := startServer(t, server.Options{})
+	if _, err := c.CreateSession(server.CreateSessionRequest{ID: "r", Rule: "and(jaccard@0 <= 0.4, cosine@1 <= 0.2)"}); err != nil {
+		t.Fatal(err)
+	}
+	for _, fields := range [][]record.Field{
+		{record.Vector{1, 2}, record.Vector{1, 2}},
+		{record.NewSet([]uint64{1, 2})},
+		{record.NewSet([]uint64{1, 2}), record.NewSet([]uint64{3})},
+	} {
+		wr, err := client.EncodeRecord(-1, fields...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Ingest("r", wr); status(err) != http.StatusBadRequest {
+			t.Errorf("%d-field record outside the rule: got %v, want 400", len(fields), err)
+		}
+	}
+	if info, err := c.Stats("r"); err != nil || info.Records != 0 {
+		t.Fatalf("after refused ingests: stats %+v, %v; want 0 records", info, err)
+	}
+	wr, err := client.EncodeRecord(-1, record.NewSet([]uint64{1, 2, 3}), record.Vector{1, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Ingest("r", wr, wr, wr); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.TopK("r", 1, 0); err != nil {
+		t.Fatalf("topk over records that fit the rule: %v", err)
+	}
+}
+
+// TestStatsMemoryAccounting: after a TopK, /stats reports the session's
+// signature cache, scratch pool and query index at exactly their own
+// MemBytes, and a sharded session its shards' caches and pools summed.
+func TestStatsMemoryAccounting(t *testing.T) {
+	srv, c := startServer(t, server.Options{})
+	wire, _, _ := testRecords(t, 60, 6, 41)
+	for _, shards := range []int{0, 2} {
+		id := fmt.Sprintf("mem%d", shards)
+		if _, err := c.CreateSession(server.CreateSessionRequest{ID: id, Rule: testRule, Shards: shards}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Ingest(id, wire...); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.TopK(id, 3, 0); err != nil {
+			t.Fatal(err)
+		}
+		got, err := c.Stats(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := srv.Lookup(id)
+		var cache, pool, index int64
+		if eng := server.SessionEngine(s); eng != nil {
+			for _, sh := range eng.PerShard() {
+				cache += sh.CacheBytes
+				pool += sh.PoolBytes
+			}
+		} else {
+			st := server.SessionStream(s)
+			cache, pool, index = st.Cache().MemBytes(), st.HashPool().MemBytes(), st.QueryIndex().MemBytes()
+			if index == 0 {
+				t.Errorf("%s: query index holds 0 bytes after a TopK", id)
+			}
+		}
+		if got.CacheBytes != cache || got.PoolBytes != pool || got.QueryIndexBytes != index {
+			t.Errorf("%s: stats cache/pool/index bytes %d/%d/%d, structures hold %d/%d/%d",
+				id, got.CacheBytes, got.PoolBytes, got.QueryIndexBytes, cache, pool, index)
+		}
+		if cache == 0 || pool == 0 {
+			t.Errorf("%s: cache %d and pool %d bytes after a TopK, want both retained", id, cache, pool)
+		}
 	}
 }

@@ -7,8 +7,10 @@ import (
 	"sync"
 
 	"github.com/topk-er/adalsh/internal/core"
+	"github.com/topk-er/adalsh/internal/distance"
 	"github.com/topk-er/adalsh/internal/obs"
 	"github.com/topk-er/adalsh/internal/record"
+	"github.com/topk-er/adalsh/internal/shard"
 	"github.com/topk-er/adalsh/internal/snapio"
 )
 
@@ -43,6 +45,9 @@ type Session struct {
 	ckptEvry int
 	shards   int
 	restored bool
+	// eng is the sharded engine of a session with shards > 1, nil
+	// otherwise.
+	eng *shard.Engine
 
 	// slots is the bounded ingest queue: acquired (non-blocking) for
 	// the duration of one Ingest, including its wait on mu.
@@ -78,15 +83,16 @@ func (s *Session) Ingest(entities []int, fields [][]record.Field) ([]int, int, e
 	defer s.mu.Unlock()
 	// Validate the layout against the first resident record before
 	// mutating anything: a bad record must not poison the dataset (the
-	// stream itself only validates at the next TopK).
+	// stream itself only validates at the next TopK). The first record
+	// of a session sets the layout, so it must fit the rule.
 	ds := s.st.Dataset()
+	ref := fields[0]
+	if ds.Len() > 0 {
+		ref = ds.Records[0].Fields
+	} else if err := distance.CheckFields(s.st.Rule(), ref); err != nil {
+		return nil, 0, fmt.Errorf("record 0: %w", err)
+	}
 	for i, fs := range fields {
-		ref := fs
-		if ds.Len() > 0 {
-			ref = ds.Records[0].Fields
-		} else if i > 0 {
-			ref = fields[0]
-		}
 		if err := layoutMatches(ref, fs); err != nil {
 			return nil, 0, fmt.Errorf("record %d: %w", i, err)
 		}
@@ -106,15 +112,21 @@ func (s *Session) Records() int {
 }
 
 // layoutMatches checks that a record's fields mirror the reference
-// layout (same count, same kinds — the invariants Dataset.Validate
-// enforces dataset-wide).
+// layout: the same count and kinds (the invariants Dataset.Validate
+// enforces dataset-wide), and the same vector dimensions and
+// fingerprint widths, which the metrics and hashers of a rule over the
+// field require of every pair of records.
 func layoutMatches(ref, fs []record.Field) error {
 	if len(fs) != len(ref) {
 		return fmt.Errorf("server: record has %d fields, session layout has %d", len(fs), len(ref))
 	}
 	for f := range fs {
-		if fs[f].Kind() != ref[f].Kind() {
-			return fmt.Errorf("server: record field %d is %v, session layout has %v", f, fs[f].Kind(), ref[f].Kind())
+		kind := fs[f].Kind()
+		if kind != ref[f].Kind() {
+			return fmt.Errorf("server: record field %d is %v, session layout has %v", f, kind, ref[f].Kind())
+		}
+		if kind != record.SetKind && fs[f].Len() != ref[f].Len() {
+			return fmt.Errorf("server: record field %d is a %d-wide %v, session layout has width %d", f, fs[f].Len(), kind, ref[f].Len())
 		}
 	}
 	return nil
@@ -181,7 +193,7 @@ func (s *Session) Query(fields []record.Field, m, probes int) (res *core.QueryRe
 func (s *Session) Stats() StatsResponse {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return StatsResponse{
+	resp := StatsResponse{
 		ID:              s.id,
 		Records:         s.st.Len(),
 		PlanDesigned:    s.st.Plan() != nil,
@@ -191,6 +203,17 @@ func (s *Session) Stats() StatsResponse {
 		CheckpointPath:  s.ckptPath,
 		Counters:        s.col.Counters(),
 	}
+	if s.eng != nil {
+		for _, sh := range s.eng.PerShard() {
+			resp.CacheBytes += sh.CacheBytes
+			resp.PoolBytes += sh.PoolBytes
+		}
+		return resp
+	}
+	resp.CacheBytes = s.st.Cache().MemBytes()
+	resp.PoolBytes = s.st.HashPool().MemBytes()
+	resp.QueryIndexBytes = s.st.QueryIndex().MemBytes()
+	return resp
 }
 
 // Checkpoint flushes the session to its checkpoint path (a no-op for

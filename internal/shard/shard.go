@@ -118,6 +118,10 @@ type ShardStats struct {
 	// CacheBytes is the approximate resident size of the shard's
 	// signature cache after the run.
 	CacheBytes int64 `json:"cache_bytes"`
+	// PoolBytes is what the shard's hashing scratch pool keeps for the
+	// next run: its free bucket tables and merge-edge lists
+	// (core.HashPool.MemBytes).
+	PoolBytes int64 `json:"pool_bytes"`
 }
 
 // BoundaryStats describes the cross-shard reconcile work of the most
@@ -243,9 +247,8 @@ func (e *Engine) PerShard() []ShardStats {
 		out[i] = s.stats
 		out[i].Shard = i
 		out[i].Records = s.lds.Len()
-		if s.cache != nil {
-			out[i].CacheBytes = s.cache.MemBytes()
-		}
+		out[i].CacheBytes = s.cache.MemBytes()
+		out[i].PoolBytes = s.pool.MemBytes()
 	}
 	return out
 }
