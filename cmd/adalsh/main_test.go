@@ -1,6 +1,10 @@
 package main
 
 import (
+	"errors"
+	"os"
+	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -49,5 +53,40 @@ func TestValidateMethodFlags(t *testing.T) {
 				t.Errorf("error %q does not name the method %q", err, tc.method)
 			}
 		})
+	}
+}
+
+// TestMixedWidthInputExitsWithError runs the command on a JSON dataset
+// whose vectors differ in dimension under a cosine rule: it must exit
+// with an error naming the record, not panic in the cosine kernel
+// while the plan is designed. The test binary re-runs itself as the
+// command.
+func TestMixedWidthInputExitsWithError(t *testing.T) {
+	if os.Getenv("ADALSH_TEST_MAIN") == "1" {
+		os.Args = append([]string{"adalsh"}, strings.Fields(os.Getenv("ADALSH_TEST_ARGS"))...)
+		main()
+		os.Exit(0)
+	}
+	path := filepath.Join(t.TempDir(), "mixed.json")
+	data := `{"records":[` +
+		`{"entity":0,"fields":[{"vector":[1,0,0,0]}]},{"entity":0,"fields":[{"vector":[1,0.1,0,0]}]},` +
+		`{"entity":1,"fields":[{"vector":[0,1]}]},{"entity":1,"fields":[{"vector":[0.1,1]}]}]}`
+	if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=^TestMixedWidthInputExitsWithError$")
+	// The rule is one word per argument so the child can split on
+	// spaces: cosine@0<=0.2 parses as 'cosine@0 <= 0.2'.
+	cmd.Env = append(os.Environ(), "ADALSH_TEST_MAIN=1", "ADALSH_TEST_ARGS=-input "+path+" -rule cosine@0<=0.2 -k 1")
+	out, err := cmd.CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) {
+		t.Fatalf("command did not fail (err %v); output:\n%s", err, out)
+	}
+	if strings.Contains(string(out), "panic") || exit.ExitCode() != 1 {
+		t.Fatalf("command exited %d, want a plain error (exit 1); output:\n%s", exit.ExitCode(), out)
+	}
+	if !strings.Contains(string(out), "record 2") {
+		t.Fatalf("error does not name the mismatched record; output:\n%s", out)
 	}
 }

@@ -252,8 +252,9 @@ type HashRounder interface {
 	// Caches reports the signature caches the rounds fill, none when
 	// they hash without one. The loop calls it once, before the first
 	// round, reports the caches' cumulative counters as per-run deltas
-	// and their per-hasher evaluations as Stats.HashEvals, and charges
-	// the incremental step cost only when there is a cache.
+	// and their per-hasher evaluations as Stats.HashEvals, charges the
+	// incremental step cost only when there is a cache, and compacts
+	// the caches after the last round (Cache.Compact).
 	Caches() []*Cache
 }
 
@@ -295,7 +296,8 @@ func FilterIncremental(ds *record.Dataset, plan *Plan, opts Options, emit func(C
 // cache of the run's own, or none with DisableHashCache) and
 // opts.HashPool. Those options, HashMinParallel and Capture configure
 // the single engine's rounds only; Capture with a non-nil rounds is an
-// error.
+// error. After the last round, inside the filter span, it compacts the
+// caches rounds reports (Cache.Compact).
 func FilterRounds(ds *record.Dataset, plan *Plan, opts Options, rounds HashRounder, emit func(Cluster) bool, stats *Stats) error {
 	if opts.K < 1 {
 		return fmt.Errorf("core: K = %d, want >= 1", opts.K)
@@ -512,14 +514,27 @@ func FilterRounds(ds *record.Dataset, plan *Plan, opts Options, rounds HashRound
 	if opts.Capture != nil && ds.Len() > 0 {
 		opts.Capture.finish()
 	}
+	compactCaches(caches, workers)
 	// The whole-run span charges the concurrent stages by busy time and
 	// everything else (design lookups, bin maintenance, reduction,
-	// finishing the capture) once.
+	// finishing the capture, compacting the caches) once.
 	runTimer.Workers = workers
 	runTimer.Items = ds.Len()
 	runTimer.Work = runTimer.Elapsed() - (stats.HashWall + stats.PairwiseWall) + (stats.HashWork + stats.PairwiseWork)
 	stats.Elapsed = runTimer.End()
 	return nil
+}
+
+// compactCaches runs Cache.Compact on every cache of a finished run, up
+// to workers caches at once (a sharded run's shard caches slide
+// concurrently). No view the run's rounds took is read afterwards.
+func compactCaches(caches []*Cache, workers int) {
+	n := min(workers, len(caches))
+	fanOut(n, func(i int) {
+		for j := i; j < len(caches); j += n {
+			caches[j].Compact()
+		}
+	})
 }
 
 // cacheLookups sums the caches' cumulative lookup and element-hash

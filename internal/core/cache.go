@@ -20,13 +20,15 @@ import (
 // compact (page, offset, len, cap) reference per record: no per-record
 // slice headers, no per-round reallocations once a region has spare
 // capacity, and near-zero GC scan cost (the arenas are pointer-free).
+// A prefix that outgrows its region moves and leaves the region dead
+// (DeadBytes) until Compact slides the live prefixes over it.
 //
 // Concurrency contract: Ensure may be called concurrently for DISTINCT
 // records (the parallel key-precompute workers partition records, and
 // the shared eval counters are atomic); concurrent Ensure calls on the
 // same record race on its prefix slot. Consequently a Cache must not
-// be shared by concurrently running filter invocations; Grow is not
-// safe to call concurrently with anything.
+// be shared by concurrently running filter invocations; Grow and
+// Compact are not safe to call concurrently with anything.
 type Cache struct {
 	ds *record.Dataset
 	// refs[h][rec] locates rec's prefix in arenas[h].
@@ -63,8 +65,10 @@ func NewCache(ds *record.Dataset, numHashers int) *Cache {
 
 // Ensure returns the first n base hash values of hasher h (from plan
 // hashers) on record rec, computing and memoizing any missing suffix.
-// The returned slice aliases the cache's storage and stays valid for
-// the cache's lifetime; callers must not append to or resize it.
+// The returned slice aliases the cache's storage and stays valid until
+// the run that returned it ends: FilterRounds compacts its caches after
+// the last round, moving the prefixes (see Compact). Callers must not
+// append to or resize it.
 func (c *Cache) Ensure(p *Plan, h, rec, n int) []uint64 {
 	ref := &c.refs[h][rec]
 	a := c.arenas[h]
@@ -84,7 +88,7 @@ func (c *Cache) Ensure(p *Plan, h, rec, n int) []uint64 {
 		if newCap < n {
 			newCap = n
 		}
-		page, off := a.alloc(newCap)
+		page, off := a.alloc(newCap, int(ref.cap))
 		buf := a.view(page, off, newCap)
 		if ref.n > 0 {
 			copy(buf, a.view(ref.page, ref.off, int(ref.n)))
@@ -164,6 +168,35 @@ func (c *Cache) MemBytes() int64 {
 		total += int64(len(c.refs[h])) * 16
 	}
 	return total
+}
+
+// DeadBytes reports the bytes of arena regions relocated since the
+// last compaction: prefixes that outgrew their regions left them
+// behind, and Compact releases them. They are part of MemBytes. A nil
+// cache holds nothing.
+func (c *Cache) DeadBytes() int64 {
+	if c == nil {
+		return 0
+	}
+	var total int64
+	for _, a := range c.arenas {
+		total += a.deadWords() * 8
+	}
+	return total
+}
+
+// Compact compacts, in place, every arena whose relocated words have
+// reached half its live words: the live prefixes slide down over the
+// dead regions and the pages past them are released. Prefix values,
+// counters and State are unchanged; views returned by Ensure before
+// are invalid afterwards. FilterRounds calls it after a run's last
+// round. Compact is not safe to call concurrently with anything.
+func (c *Cache) Compact() {
+	for h, a := range c.arenas {
+		if a.due() {
+			a.compact(c.refs[h])
+		}
+	}
 }
 
 // Grow extends the cache to cover n records (no-op if already large

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sync"
 	"testing"
 
@@ -46,18 +47,25 @@ func cacheLayoutDataset(t testing.TB) (*record.Dataset, *Plan) {
 // cacheModel is the from-scratch reference for Cache.Ensure: values
 // straight from lshfamily.HashRange over the whole requested prefix,
 // evals counted as the growth of each (hasher, record) prefix, and a
-// hit whenever the request fits inside the prefix already cached.
+// hit whenever the request fits inside the prefix already cached. It
+// also models the arena's reservations: a prefix that outgrows its
+// region moves to one of max(2*cap, n) words, and the old region's
+// words are dead until its hasher's arena is compacted.
 type cacheModel struct {
 	ds           *record.Dataset
 	prefix       [][]int
+	caps         [][]int
 	evals        []int64
+	dead         []int64 // words per hasher
 	hits, misses int64
 }
 
 func newCacheModel(ds *record.Dataset, numHashers int) *cacheModel {
-	m := &cacheModel{ds: ds, prefix: make([][]int, numHashers), evals: make([]int64, numHashers)}
+	m := &cacheModel{ds: ds, prefix: make([][]int, numHashers), caps: make([][]int, numHashers),
+		evals: make([]int64, numHashers), dead: make([]int64, numHashers)}
 	for h := range m.prefix {
 		m.prefix[h] = make([]int, ds.Len())
+		m.caps[h] = make([]int, ds.Len())
 	}
 	return m
 }
@@ -69,10 +77,56 @@ func (m *cacheModel) ensure(p *Plan, h, rec, n int) []uint64 {
 		m.misses++
 		m.evals[h] += int64(n - have)
 		m.prefix[h][rec] = n
+		if c := m.caps[h][rec]; n > c {
+			m.dead[h] += int64(c)
+			m.caps[h][rec] = max(2*c, n)
+		}
 	}
 	out := make([]uint64, n)
 	lshfamily.HashRange(p.Hashers[h], 0, n, &m.ds.Records[rec], out)
 	return out
+}
+
+// compact models Cache.Compact: every hasher whose dead words reach
+// half its reserved ones drops them.
+func (m *cacheModel) compact() {
+	for h, caps := range m.caps {
+		live := 0
+		for _, c := range caps {
+			live += c
+		}
+		if m.dead[h] > 0 && 2*m.dead[h] >= int64(live) {
+			m.dead[h] = 0
+		}
+	}
+}
+
+// deadBytes models Cache.DeadBytes.
+func (m *cacheModel) deadBytes() int64 {
+	var words int64
+	for _, d := range m.dead {
+		words += d
+	}
+	return words * 8
+}
+
+// state models Cache.State over the first rows records.
+func (m *cacheModel) state(p *Plan, rows int) *CacheState {
+	st := &CacheState{Evals: slices.Clone(m.evals), Hits: m.hits, Misses: m.misses}
+	for h, prefix := range m.prefix {
+		lens := make([]int32, rows)
+		vals := []uint64{}
+		for rec := range rows {
+			n := prefix[rec]
+			lens[rec] = int32(n)
+			buf := make([]uint64, n)
+			lshfamily.HashRange(p.Hashers[h], 0, n, &m.ds.Records[rec], buf)
+			vals = append(vals, buf...)
+		}
+		st.Lens = append(st.Lens, lens)
+		st.Vals = append(st.Vals, vals)
+	}
+	return st
 }
 
 // ensureBoth runs one Ensure on the cache and the model and compares
@@ -94,9 +148,12 @@ func ensureBoth(t *testing.T, c *Cache, m *cacheModel, p *Plan, h, rec, n int) {
 }
 
 // checkCounters compares the cache's cumulative eval and lookup
-// counters with the model's.
+// counters and its dead bytes with the model's.
 func checkCounters(t *testing.T, c *Cache, m *cacheModel) {
 	t.Helper()
+	if got, want := c.DeadBytes(), m.deadBytes(); got != want {
+		t.Fatalf("DeadBytes: cache %d != model %d", got, want)
+	}
 	for h, e := range c.HashEvals() {
 		if e != m.evals[h] {
 			t.Fatalf("HashEvals[%d]: cache %d != model %d", h, e, m.evals[h])
@@ -135,18 +192,20 @@ func TestCacheLayoutsEquivalent(t *testing.T) {
 
 // TestCacheArenaConcurrentEnsure exercises the cache concurrency
 // contract — concurrent Ensure on DISTINCT records while the arena
-// allocates pages underneath — and then verifies every value and
-// counter against the model run serially through the same sequence.
-// Run under -race this also pins the copy-on-append page-table
-// publication.
+// allocates pages underneath — on a fresh cache and again after the
+// cache was compacted halfway through the plan's levels, and then
+// verifies every value and counter against the model run serially
+// through the same sequence. Run under -race this also pins the
+// copy-on-append page-table publication, before and after compaction
+// replaced the page table.
 func TestCacheArenaConcurrentEnsure(t *testing.T) {
 	ds, plan := cacheLayoutDataset(t)
 	c := NewCache(ds, len(plan.Hashers))
 	m := newCacheModel(ds, len(plan.Hashers))
 	// Grow each record's prefixes level by level, like the re-hash
 	// rounds do.
-	grow := func(rec int, ensure func(p *Plan, h, rec, n int) []uint64) {
-		for _, hf := range plan.Funcs {
+	grow := func(rec int, funcs []*HashFunc, ensure func(p *Plan, h, rec, n int) []uint64) {
+		for _, hf := range funcs {
 			for h, n := range hf.FuncsPerHasher {
 				if n > 0 {
 					ensure(plan, h, rec, n)
@@ -155,21 +214,34 @@ func TestCacheArenaConcurrentEnsure(t *testing.T) {
 		}
 	}
 	const workers = 8
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for rec := w; rec < ds.Len(); rec += workers {
-				grow(rec, c.Ensure)
-			}
-		}(w)
+	growAll := func(funcs []*HashFunc) {
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for rec := w; rec < ds.Len(); rec += workers {
+					grow(rec, funcs, c.Ensure)
+				}
+			}(w)
+		}
+		wg.Wait()
+		for rec := 0; rec < ds.Len(); rec++ {
+			grow(rec, funcs, m.ensure)
+		}
+		checkCounters(t, c, m)
 	}
-	wg.Wait()
-	for rec := 0; rec < ds.Len(); rec++ {
-		grow(rec, m.ensure)
+	half := len(plan.Funcs) / 2
+	growAll(plan.Funcs[:half])
+	if c.DeadBytes() == 0 {
+		t.Fatal("no prefix was relocated before the compaction")
 	}
+	for h, a := range c.arenas {
+		a.compact(c.refs[h])
+	}
+	clear(m.dead)
 	checkCounters(t, c, m)
+	growAll(plan.Funcs[half:])
 	last := plan.Funcs[len(plan.Funcs)-1]
 	for rec := 0; rec < ds.Len(); rec++ {
 		for h, n := range last.FuncsPerHasher {

@@ -31,7 +31,10 @@ func spotSigsPlan(t *testing.T) (*record.Dataset, *Plan, []int32) {
 // have at most 4x the slots the round's fullest table needs at the
 // maximum load (its keys over the load, unrounded); a table sized for
 // every record of the round needs more once the records outnumber the
-// keys 4 to 1.
+// keys 4 to 1. The later rounds of a sharded run, which take their
+// tables from a pool holding round one's, are held to 4x the table
+// size their fullest table needs past the first wave; reusing round
+// one's tables as they are fails that.
 func TestRoundTablesSizedToKeys(t *testing.T) {
 	ds, plan, recs := spotSigsPlan(t)
 	hf := plan.Funcs[0]
@@ -62,6 +65,55 @@ func TestRoundTablesSizedToKeys(t *testing.T) {
 	}
 	_, _, kept := ApplyHashExport(ds, plan, hf, nil, recs, nil, nil, nil)
 	check("export", kept.tables)
+
+	// A sharded run's later rounds hash each cluster of the previous
+	// level under the next function, recycling round one's tables
+	// through the shard's pool. Past the first wave, whose table is
+	// taken with hint 0 at any size, a kept table may have at most 4x
+	// the slots the round's fullest table is sized for (oaSizeFor,
+	// minimum included).
+	pool := NewHashPool()
+	cache := NewCache(ds, len(plan.Hashers))
+	frontier := [][]int32{recs}
+	roundOne, small := 0, 0
+	for level, f := range plan.Funcs[:min(5, len(plan.Funcs))] {
+		var next [][]int32
+		for _, cl := range frontier {
+			if len(cl) < 2 {
+				continue
+			}
+			subs, _, kept := ApplyHashExport(ds, plan, f, cache, cl, nil, pool, nil)
+			fullest := 0
+			for _, tab := range kept.tables {
+				fullest = max(fullest, tab.used)
+			}
+			limit := 4 * oaSizeFor(fullest)
+			switch {
+			case level == 0:
+				roundOne = len(kept.tables[0].keys)
+			case limit < roundOne:
+				small++ // round one's tables would be oversized here
+			}
+			for i, tab := range kept.tables[1:] {
+				if level > 0 && len(tab.keys) > limit {
+					t.Errorf("level %d, %d records: table %d has %d slots for %d keys, want at most %d (4x the %d slots %d keys need)",
+						level+1, len(cl), i+1, len(tab.keys), tab.used, limit, oaSizeFor(fullest), fullest)
+				}
+			}
+			kept.Release(pool)
+			for _, sub := range subs {
+				ids := make([]int32, len(sub))
+				for i, li := range sub {
+					ids[i] = cl[li]
+				}
+				next = append(next, ids)
+			}
+		}
+		frontier = next
+	}
+	if small == 0 {
+		t.Fatalf("no later round holds few enough keys for round one's %d-slot tables to be oversized", roundOne)
+	}
 }
 
 // TestQueryIndexMemBytes pins QueryIndex.MemBytes to the lengths of

@@ -180,13 +180,18 @@ func (p *HashPool) MemBytes() int64 {
 }
 
 // getTable hands out an epoch-cleared table that holds hint keys
-// within the maximum load (see reset).
+// within the maximum load (see reset). A hint of 0 takes the next free
+// table at whatever size it has. A positive hint replaces a free table
+// with more than 4x the slots the hint needs, so a round over a small
+// cluster does not fill tables sized for a whole dataset and the pool
+// keeps tables of the sizes its recent rounds used.
 func (p *HashPool) getTable(hint int) *oaTable {
 	var t *oaTable
 	if l := len(p.tables); l > 0 {
 		t = p.tables[l-1]
 		p.tables = p.tables[:l-1]
-	} else {
+	}
+	if t == nil || hint > 0 && len(t.keys) > 4*oaSizeFor(hint) {
 		t = &oaTable{}
 	}
 	t.reset(hint)

@@ -154,34 +154,46 @@ func TestOATableEpochWrap(t *testing.T) {
 	}
 }
 
-// TestHashPoolRecyclesTables verifies the pool's contract: returned
-// tables come back on the next acquisition with cleared contents and
-// retained capacity, and edge slots come back empty with their grown
-// capacity kept.
+// TestHashPoolRecyclesTables verifies the pool's contract: a returned
+// table comes back on the next acquisition with cleared contents, at
+// its retained size when the hint is 0 or needs at least a quarter of
+// its slots, and replaced by a table sized for the hint when the hint
+// needs fewer; edge slots come back empty with their grown capacity
+// kept.
 func TestHashPoolRecyclesTables(t *testing.T) {
 	pool := NewHashPool()
-	tabs := []*oaTable{pool.getTable(1000), pool.getTable(1000), pool.getTable(1000)}
-	want := len(tabs[0].keys)
-	if want < oaSizeFor(1000) {
-		t.Fatalf("table size = %d, want >= %d", want, oaSizeFor(1000))
-	}
-	for i, tab := range tabs {
-		tab.swap(xhash.SplitMix64(uint64(i)), int32(i))
-	}
-	pool.putTables(tabs...)
-	again := []*oaTable{pool.getTable(10), pool.getTable(10), pool.getTable(10)}
-	for i, tab := range again {
-		if len(tab.keys) != want {
-			t.Fatalf("recycled table %d size = %d, want retained %d", i, len(tab.keys), want)
+	big := oaSizeFor(1000)
+	// get takes three tables for hint, requires them empty and of size
+	// slots, fills one slot each and returns them to the pool.
+	get := func(hint, slots int) {
+		t.Helper()
+		tabs := []*oaTable{pool.getTable(hint), pool.getTable(hint), pool.getTable(hint)}
+		for i, tab := range tabs {
+			if len(tab.keys) != slots {
+				t.Fatalf("hint %d: table %d size = %d, want %d", hint, i, len(tab.keys), slots)
+			}
+			if tab.used != 0 {
+				t.Fatalf("hint %d: table %d has %d live slots, want 0", hint, i, tab.used)
+			}
+			if _, ok := tab.lookup(xhash.SplitMix64(uint64(i))); ok {
+				t.Fatalf("hint %d: table %d still resolves an old key", hint, i)
+			}
+			tab.swap(xhash.SplitMix64(uint64(i)), int32(i))
 		}
-		if tab.used != 0 {
-			t.Fatalf("recycled table %d has %d live slots, want 0", i, tab.used)
-		}
-		if _, ok := tab.lookup(xhash.SplitMix64(uint64(i))); ok {
-			t.Fatalf("recycled table %d still resolves an old key", i)
-		}
+		pool.putTables(tabs...)
 	}
-	pool.putTables(again...)
+	get(1000, big)
+	// Hint 0 reuses a recycled table at any size.
+	get(0, big)
+	// A hint that needs a quarter of the slots or more keeps the table:
+	// 129 keys need 512 slots, a quarter of 2048.
+	if oaSizeFor(129)*4 != big {
+		t.Fatalf("oaSizeFor(129) = %d, want a quarter of %d", oaSizeFor(129), big)
+	}
+	get(129, big)
+	// One that needs fewer replaces it with a table sized for the hint.
+	get(128, oaSizeFor(128))
+	get(0, oaSizeFor(128))
 
 	edges := pool.edgeSlots(2)
 	edges[0] = append(edges[0], mergeEdge{1, 2}, mergeEdge{3, 4})

@@ -99,7 +99,7 @@ func NewCacheFromState(ds *record.Dataset, st *CacheState) (*Cache, error) {
 			}
 			vals := st.Vals[i][off : off+n]
 			off += n
-			page, o := c.arenas[i].alloc(n)
+			page, o := c.arenas[i].alloc(n, 0)
 			copy(c.arenas[i].view(page, o, n), vals)
 			c.refs[i][rec] = sigRef{page: page, off: o, n: int32(n), cap: int32(n)}
 		}

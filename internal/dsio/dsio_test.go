@@ -88,6 +88,9 @@ func TestReadErrors(t *testing.T) {
 		"garbage":     "not json",
 		"both kinds":  `{"records":[{"fields":[{"set":[1],"vector":[0.5]}]}]}`,
 		"ragged rows": `{"records":[{"fields":[{"set":[1]}]},{"fields":[{"set":[1]},{"set":[2]}]}]}`,
+		// Cosine over such a pair panics (distance.CosineVec), so the
+		// dataset must not load.
+		"mixed dims": `{"records":[{"fields":[{"vector":[1,0,0,0]}]},{"fields":[{"vector":[0,1]}]}]}`,
 	}
 	for name, in := range cases {
 		if _, err := Read(strings.NewReader(in)); err == nil {

@@ -165,26 +165,40 @@ func (d *Dataset) NumFields() int {
 	return len(d.Records[0].Fields)
 }
 
-// Validate checks the structural invariants: IDs sequential, uniform
-// field layout, Truth parallel to Records.
+// Validate checks the structural invariants: IDs sequential, every
+// record's fields in the first record's layout (CheckLayout), Truth
+// parallel to Records.
 func (d *Dataset) Validate() error {
 	if len(d.Truth) != 0 && len(d.Truth) != len(d.Records) {
 		return fmt.Errorf("record: dataset %q: %d truth labels for %d records", d.Name, len(d.Truth), len(d.Records))
 	}
-	nf := d.NumFields()
 	for i := range d.Records {
 		r := &d.Records[i]
 		if r.ID != i {
 			return fmt.Errorf("record: dataset %q: record at position %d has ID %d", d.Name, i, r.ID)
 		}
-		if len(r.Fields) != nf {
-			return fmt.Errorf("record: dataset %q: record %d has %d fields, want %d", d.Name, i, len(r.Fields), nf)
+		if err := CheckLayout(d.Records[0].Fields, r.Fields); err != nil {
+			return fmt.Errorf("record: dataset %q: record %d: %w", d.Name, i, err)
 		}
-		for f := range r.Fields {
-			if r.Fields[f].Kind() != d.Records[0].Fields[f].Kind() {
-				return fmt.Errorf("record: dataset %q: record %d field %d kind %v, want %v",
-					d.Name, i, f, r.Fields[f].Kind(), d.Records[0].Fields[f].Kind())
-			}
+	}
+	return nil
+}
+
+// CheckLayout reports whether fields follow the reference layout ref:
+// the same field count and kinds, and the same vector dimensions and
+// fingerprint widths, which the metrics and hashers over a field
+// require of every pair of records. Set fields may differ in size.
+func CheckLayout(ref, fields []Field) error {
+	if len(fields) != len(ref) {
+		return fmt.Errorf("%d fields, layout has %d", len(fields), len(ref))
+	}
+	for f, fd := range fields {
+		kind := fd.Kind()
+		if kind != ref[f].Kind() {
+			return fmt.Errorf("field %d is %v, layout has %v", f, kind, ref[f].Kind())
+		}
+		if kind != SetKind && fd.Len() != ref[f].Len() {
+			return fmt.Errorf("field %d is a %d-wide %v, layout has width %d", f, fd.Len(), kind, ref[f].Len())
 		}
 	}
 	return nil

@@ -194,9 +194,13 @@ type StatsResponse struct {
 	// CacheBytes, PoolBytes and QueryIndexBytes account the session's
 	// retained hashing state: the signature cache (core.Cache.MemBytes),
 	// the hash stage's scratch pool (core.HashPool.MemBytes) and the
-	// point-query index (core.QueryIndex.MemBytes). A sharded session
-	// reports its shards' caches and pools summed, and keeps no index.
+	// point-query index (core.QueryIndex.MemBytes). CacheDeadBytes is
+	// the part of CacheBytes held by relocated prefixes that no
+	// compaction has released yet (core.Cache.DeadBytes). A sharded
+	// session reports its shards' caches and pools summed, and keeps no
+	// index.
 	CacheBytes      int64 `json:"cache_bytes"`
+	CacheDeadBytes  int64 `json:"cache_dead_bytes"`
 	PoolBytes       int64 `json:"pool_bytes"`
 	QueryIndexBytes int64 `json:"query_index_bytes"`
 }

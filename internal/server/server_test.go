@@ -748,7 +748,9 @@ func TestIngestRejectsRecordsOutsideRule(t *testing.T) {
 
 // TestStatsMemoryAccounting: after a TopK, /stats reports the session's
 // signature cache, scratch pool and query index at exactly their own
-// MemBytes, and a sharded session its shards' caches and pools summed.
+// MemBytes, the cache's uncompacted relocated prefixes at its
+// DeadBytes, and a sharded session its shards' caches and pools
+// summed.
 func TestStatsMemoryAccounting(t *testing.T) {
 	srv, c := startServer(t, server.Options{})
 	wire, _, _ := testRecords(t, 60, 6, 41)
@@ -768,15 +770,19 @@ func TestStatsMemoryAccounting(t *testing.T) {
 			t.Fatal(err)
 		}
 		s := srv.Lookup(id)
-		var cache, pool, index int64
+		var cache, dead, pool, index int64
 		if eng := server.SessionEngine(s); eng != nil {
 			for _, sh := range eng.PerShard() {
 				cache += sh.CacheBytes
 				pool += sh.PoolBytes
 			}
+			for _, c := range eng.Caches() {
+				dead += c.DeadBytes()
+			}
 		} else {
 			st := server.SessionStream(s)
 			cache, pool, index = st.Cache().MemBytes(), st.HashPool().MemBytes(), st.QueryIndex().MemBytes()
+			dead = st.Cache().DeadBytes()
 			if index == 0 {
 				t.Errorf("%s: query index holds 0 bytes after a TopK", id)
 			}
@@ -784,6 +790,9 @@ func TestStatsMemoryAccounting(t *testing.T) {
 		if got.CacheBytes != cache || got.PoolBytes != pool || got.QueryIndexBytes != index {
 			t.Errorf("%s: stats cache/pool/index bytes %d/%d/%d, structures hold %d/%d/%d",
 				id, got.CacheBytes, got.PoolBytes, got.QueryIndexBytes, cache, pool, index)
+		}
+		if got.CacheDeadBytes != dead || dead >= cache {
+			t.Errorf("%s: stats cache_dead_bytes %d, caches hold %d dead of %d bytes", id, got.CacheDeadBytes, dead, cache)
 		}
 		if cache == 0 || pool == 0 {
 			t.Errorf("%s: cache %d and pool %d bytes after a TopK, want both retained", id, cache, pool)

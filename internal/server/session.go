@@ -93,8 +93,8 @@ func (s *Session) Ingest(entities []int, fields [][]record.Field) ([]int, int, e
 		return nil, 0, fmt.Errorf("record 0: %w", err)
 	}
 	for i, fs := range fields {
-		if err := layoutMatches(ref, fs); err != nil {
-			return nil, 0, fmt.Errorf("record %d: %w", i, err)
+		if err := record.CheckLayout(ref, fs); err != nil {
+			return nil, 0, fmt.Errorf("server: record %d: %w", i, err)
 		}
 	}
 	ids := make([]int, len(fields))
@@ -109,27 +109,6 @@ func (s *Session) Records() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.st.Len()
-}
-
-// layoutMatches checks that a record's fields mirror the reference
-// layout: the same count and kinds (the invariants Dataset.Validate
-// enforces dataset-wide), and the same vector dimensions and
-// fingerprint widths, which the metrics and hashers of a rule over the
-// field require of every pair of records.
-func layoutMatches(ref, fs []record.Field) error {
-	if len(fs) != len(ref) {
-		return fmt.Errorf("server: record has %d fields, session layout has %d", len(fs), len(ref))
-	}
-	for f := range fs {
-		kind := fs[f].Kind()
-		if kind != ref[f].Kind() {
-			return fmt.Errorf("server: record field %d is %v, session layout has %v", f, kind, ref[f].Kind())
-		}
-		if kind != record.SetKind && fs[f].Len() != ref[f].Len() {
-			return fmt.Errorf("server: record field %d is a %d-wide %v, session layout has width %d", f, fs[f].Len(), kind, ref[f].Len())
-		}
-	}
-	return nil
 }
 
 // TopK re-clusters the session and returns the current top-k result.
@@ -206,11 +185,13 @@ func (s *Session) Stats() StatsResponse {
 	if s.eng != nil {
 		for _, sh := range s.eng.PerShard() {
 			resp.CacheBytes += sh.CacheBytes
+			resp.CacheDeadBytes += sh.CacheDeadBytes
 			resp.PoolBytes += sh.PoolBytes
 		}
 		return resp
 	}
 	resp.CacheBytes = s.st.Cache().MemBytes()
+	resp.CacheDeadBytes = s.st.Cache().DeadBytes()
 	resp.PoolBytes = s.st.HashPool().MemBytes()
 	resp.QueryIndexBytes = s.st.QueryIndex().MemBytes()
 	return resp

@@ -116,8 +116,11 @@ type ShardStats struct {
 	// concurrent portion of the run's hash work).
 	Busy time.Duration `json:"busy_ns"`
 	// CacheBytes is the approximate resident size of the shard's
-	// signature cache after the run.
-	CacheBytes int64 `json:"cache_bytes"`
+	// signature cache after the run, and CacheDeadBytes the part of it
+	// that relocated prefixes left behind and the run's compaction did
+	// not release (core.Cache.DeadBytes).
+	CacheBytes     int64 `json:"cache_bytes"`
+	CacheDeadBytes int64 `json:"cache_dead_bytes"`
 	// PoolBytes is what the shard's hashing scratch pool keeps for the
 	// next run: its free bucket tables and merge-edge lists
 	// (core.HashPool.MemBytes).
@@ -157,7 +160,9 @@ type shardState struct {
 	hst   core.HashStats
 	// lrecs/posIdx are the current round's input: the shard's local
 	// record IDs in ascending order, and for each the record's
-	// position in the round's global record slice.
+	// position in the round's global record slice. They and the
+	// round's outputs below are reused across a run's rounds and
+	// dropped when the run ends.
 	lrecs  []int32
 	posIdx []int32
 	// subs/reps/tables are the current round's output from
@@ -248,6 +253,7 @@ func (e *Engine) PerShard() []ShardStats {
 		out[i].Shard = i
 		out[i].Records = s.lds.Len()
 		out[i].CacheBytes = s.cache.MemBytes()
+		out[i].CacheDeadBytes = s.cache.DeadBytes()
 		out[i].PoolBytes = s.pool.MemBytes()
 	}
 	return out
@@ -362,6 +368,9 @@ func (e *Engine) FilterIncremental(plan *core.Plan, opts core.Options, emit func
 	err := core.FilterRounds(e.ds, plan, opts, e, emit, stats)
 	for _, s := range e.shards {
 		s.stats.HashEvals = s.cache.TotalEvals() - s.prevEvals
+		// Only a round reads its inputs and outputs: keeping round
+		// one's buffers would hold them at the whole shard's size.
+		s.lrecs, s.posIdx, s.subs, s.reps = nil, nil, nil, nil
 	}
 	e.pairwiseMerges = stats.PairwiseMerges
 	return err

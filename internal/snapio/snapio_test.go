@@ -371,3 +371,31 @@ func TestWriteErrorMentionsCause(t *testing.T) {
 		t.Fatalf("Snapshot error %v does not surface the writer failure", err)
 	}
 }
+
+// TestRestoreRejectsMismatchedWidths: a snapshot whose records disagree
+// on a vector's dimension or a fingerprint's width is refused on
+// restore, as the cosine and Hamming kernels would panic on it.
+func TestRestoreRejectsMismatchedWidths(t *testing.T) {
+	cases := map[string]struct {
+		rule distance.Rule
+		a, b record.Field
+	}{
+		"vector dims": {distance.Threshold{Field: 0, Metric: distance.Cosine{}, MaxDistance: 0.2},
+			record.Vector{1, 0, 0, 0}, record.Vector{0, 1}},
+		"bits widths": {distance.Threshold{Field: 0, Metric: distance.Hamming{}, MaxDistance: 0.2},
+			record.NewBits([]uint64{0xff}, 64), record.NewBits([]uint64{0xff}, 32)},
+	}
+	for name, tc := range cases {
+		ds := &record.Dataset{Name: name}
+		ds.Add(0, tc.a)
+		ds.Add(0, tc.b)
+		var buf bytes.Buffer
+		if err := snapio.WriteState(&buf, &core.StreamState{Rule: tc.rule, Dataset: ds}); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		_, err := snapio.Restore(bytes.NewReader(buf.Bytes()))
+		if err == nil || !strings.Contains(err.Error(), "record 1") {
+			t.Errorf("%s: Restore = %v, want an error naming record 1", name, err)
+		}
+	}
+}
