@@ -388,16 +388,18 @@ func NewStream(rule Rule, cfg SequenceConfig) *Stream {
 	return core.NewStream(rule, cfg)
 }
 
-// ShardStream attaches the sharded scale-out engine to a stream:
-// subsequent TopK/TopKClusters calls run the same Algorithm-1 loop with
-// each hashing round partitioned across the given number of engine
-// shards (byte-identical output, per-shard signature caches that
-// persist across queries). Attach before the first TopK. Point queries
-// (Stream.Query) are unavailable on a sharded stream, whose rounds keep
-// no bucket capture, and return an error. Save still snapshots records
-// and plan, but the per-shard signature caches stay process-local —
-// a restored stream re-hashes on its next query (and restores
-// unsharded; call ShardStream again after Restore).
+// ShardStream attaches the sharded scale-out engine to a stream as its
+// hashing rounds: subsequent TopK/TopKClusters calls run the same
+// Algorithm-1 loop with each hashing round partitioned across the given
+// number of engine shards (byte-identical output, per-shard signature
+// caches that persist across queries and that CachedHashEvals sums).
+// The stream's own cache is dropped, so attach before the first TopK
+// to hash each record once. Point queries (Stream.Query) are
+// unavailable on a sharded stream, whose rounds keep no bucket capture,
+// and return an error. Save still snapshots records and plan, but the
+// per-shard signature caches stay process-local — a restored stream
+// re-hashes on its next query (and restores unsharded; call
+// ShardStream again after Restore).
 func ShardStream(s *Stream, shards int) error {
 	_, err := shard.Attach(s, shards)
 	return err

@@ -130,8 +130,8 @@ func LSHXWithPlan(ds *record.Dataset, rule distance.Rule, plan *core.Plan, opts 
 
 	khat := opts.khat()
 	if opts.SkipPairwise {
-		// nP variation: stage-one clusters are the answer.
-		sortBySize(stage1)
+		// nP variation: stage-one clusters, already largest first, are
+		// the answer.
 		for _, recs := range stage1 {
 			if len(res.Clusters) == khat {
 				break
@@ -155,23 +155,7 @@ func LSHXWithPlan(ds *record.Dataset, rule distance.Rule, plan *core.Plan, opts 
 				continue
 			}
 			subs, pst := core.ApplyPairwiseOpt(ds, rule, c.recs, core.PairwiseOptions{Workers: workers})
-			res.Stats.PairwiseRounds++
-			res.Stats.PairsComputed += pst.PairsComputed
-			res.Stats.PrefilterRejects += pst.PrefilterRejects
-			res.Stats.EarlyExits += pst.EarlyExits
-			res.Stats.PairwiseWall += pst.Wall
-			res.Stats.PairwiseWork += pst.Work
-			res.Stats.ModelCost += float64(pst.PairsComputed) * plan.Cost.CostP
-			if opts.Obs != nil {
-				opts.Obs.Span(obs.Span{
-					Stage: obs.StagePairwise, Wall: pst.Wall, Work: pst.Work,
-					Workers: pst.Workers, Waves: pst.Waves, Items: len(c.recs),
-				})
-				opts.Obs.Count(obs.CtrPairComparisons, pst.PairsComputed)
-				opts.Obs.Count(obs.CtrMerges, pst.Merges)
-				obs.Count(opts.Obs, obs.CtrKernelPrefilterRejects, pst.PrefilterRejects)
-				obs.Count(opts.Obs, obs.CtrKernelEarlyExits, pst.EarlyExits)
-			}
+			res.Stats.AddPairwise(pst, len(c.recs), plan.Cost.CostP, obs.MemSnapshot{}, opts.Obs)
 			for _, recs := range subs {
 				bins.Add(&candidate{recs: recs, verified: true})
 			}
@@ -214,25 +198,10 @@ func PairsObs(ds *record.Dataset, rule distance.Rule, k, returnClusters, workers
 	}
 	res := &core.Result{}
 	if ds.Len() > 0 {
+		// P's clusters come largest first; Pairs has no cost model.
 		clusters, pst := core.ApplyPairwiseOpt(ds, rule, all, core.PairwiseOptions{Workers: workers})
-		res.Stats.PairsComputed = pst.PairsComputed
-		res.Stats.PrefilterRejects = pst.PrefilterRejects
-		res.Stats.EarlyExits = pst.EarlyExits
-		res.Stats.PairwiseWall = pst.Wall
-		res.Stats.PairwiseWork = pst.Work
+		res.Stats.AddPairwise(pst, ds.Len(), 0, obs.MemSnapshot{}, sink)
 		res.Stats.Workers = pst.Workers
-		res.Stats.PairwiseRounds = 1
-		if sink != nil {
-			sink.Span(obs.Span{
-				Stage: obs.StagePairwise, Wall: pst.Wall, Work: pst.Work,
-				Workers: pst.Workers, Waves: pst.Waves, Items: ds.Len(),
-			})
-			sink.Count(obs.CtrPairComparisons, pst.PairsComputed)
-			sink.Count(obs.CtrMerges, pst.Merges)
-			obs.Count(sink, obs.CtrKernelPrefilterRejects, pst.PrefilterRejects)
-			obs.Count(sink, obs.CtrKernelEarlyExits, pst.EarlyExits)
-		}
-		sortBySize(clusters)
 		for _, recs := range clusters {
 			if len(res.Clusters) == khat {
 				break
@@ -257,18 +226,6 @@ type candidate struct {
 
 // Size implements ppt.Sized.
 func (c *candidate) Size() int { return len(c.recs) }
-
-func sortBySize(clusters [][]int32) {
-	sort.Slice(clusters, func(i, j int) bool {
-		if len(clusters[i]) != len(clusters[j]) {
-			return len(clusters[i]) > len(clusters[j])
-		}
-		if len(clusters[i]) == 0 {
-			return false
-		}
-		return clusters[i][0] < clusters[j][0]
-	})
-}
 
 func finishResult(res *core.Result) {
 	for _, c := range res.Clusters {

@@ -6,6 +6,7 @@ import (
 	"github.com/topk-er/adalsh/internal/blocking"
 	"github.com/topk-er/adalsh/internal/core"
 	"github.com/topk-er/adalsh/internal/distance"
+	"github.com/topk-er/adalsh/internal/obs"
 	"github.com/topk-er/adalsh/internal/record"
 	"github.com/topk-er/adalsh/internal/xhash"
 )
@@ -183,5 +184,34 @@ func TestPairsEmptyDataset(t *testing.T) {
 	}
 	if len(res.Clusters) != 0 {
 		t.Fatal("clusters from empty dataset")
+	}
+}
+
+// TestPairwiseMergesMatchCounter: the baselines account their P rounds
+// with core's Stats.AddPairwise, so Stats.PairwiseMerges is filled as
+// in core.Filter. Pairs hashes nothing, so its PairwiseMerges equals
+// the merges counter; LSH-X's counter adds stage one's hash merges.
+// Both read 0 when the baselines kept their own copy of the
+// bookkeeping.
+func TestPairwiseMergesMatchCounter(t *testing.T) {
+	ds := testDataset([]int{12, 7, 4, 2}, 3)
+	for _, workers := range []int{1, 4} {
+		col := obs.NewCollector()
+		res, err := blocking.PairsObs(ds, rule(), 2, 0, workers, col)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := res.Stats.PairwiseMerges, col.Counter(obs.CtrMerges); got != want || got == 0 {
+			t.Errorf("workers=%d: Pairs PairwiseMerges %d, merges counter %d", workers, got, want)
+		}
+
+		col = obs.NewCollector()
+		res, err = blocking.LSHX(ds, rule(), blocking.LSHXOptions{X: 320, K: 2, Seed: 4, Workers: workers, Obs: col})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, total := res.Stats.PairwiseMerges, col.Counter(obs.CtrMerges); got == 0 || got > total {
+			t.Errorf("workers=%d: LSH-X PairwiseMerges %d, merges counter %d", workers, got, total)
+		}
 	}
 }

@@ -184,6 +184,40 @@ type Stats struct {
 	Workers int
 }
 
+// AddPairwise accounts one P round over items records: pst goes into
+// the Stats fields it feeds (the round count, the pairs, merges and
+// kernel counts, wall and work), and pst.PairsComputed*costP into
+// ModelCost. On sink it reports the round as a StagePairwise span built
+// from pst, carrying mem's allocation delta when mem was taken, plus
+// the pair-comparison, merge and kernel counters.
+func (st *Stats) AddPairwise(pst PairwiseStats, items int, costP float64, mem obs.MemSnapshot, sink obs.Sink) {
+	st.PairwiseRounds++
+	st.PairsComputed += pst.PairsComputed
+	st.PairwiseMerges += pst.Merges
+	st.PrefilterRejects += pst.PrefilterRejects
+	st.EarlyExits += pst.EarlyExits
+	st.PairwiseWall += pst.Wall
+	st.PairwiseWork += pst.Work
+	st.ModelCost += float64(pst.PairsComputed) * costP
+	if sink == nil {
+		return
+	}
+	// ApplyPairwiseOpt measured itself; its stats are the round's span
+	// rather than a second timing.
+	span := obs.Span{
+		Stage: obs.StagePairwise, Wall: pst.Wall, Work: pst.Work,
+		Workers: pst.Workers, Waves: pst.Waves, Items: items,
+	}
+	if mem.Valid() {
+		span.Mem, span.MemSampled = mem.Delta(), true
+	}
+	sink.Span(span)
+	sink.Count(obs.CtrPairComparisons, pst.PairsComputed)
+	sink.Count(obs.CtrMerges, pst.Merges)
+	obs.Count(sink, obs.CtrKernelPrefilterRejects, pst.PrefilterRejects)
+	obs.Count(sink, obs.CtrKernelEarlyExits, pst.EarlyExits)
+}
+
 // Result is the output of a filtering run.
 type Result struct {
 	// Clusters holds the k-hat largest final clusters, largest first.
@@ -241,8 +275,15 @@ func Collect(run func(emit func(Cluster) bool, stats *Stats) error) (*Result, er
 // concurrently and reconciles the shards' buckets. Everything else,
 // from the bins and the choice between hashing further, verifying with
 // P and emitting, to ModelCost, the stage spans and the counters,
-// belongs to the loop.
+// belongs to the loop. A rounder may live across runs (a Stream holds
+// one); each run calls Begin once, then HashRound per hashing round,
+// then End.
 type HashRounder interface {
+	// Begin readies the rounder for one run of plan over the dataset it
+	// is bound to, before the first round: the caches Caches reports
+	// are ready for plan, and the rounds take opts' sink and worker
+	// bound (Workers is already resolved to at least 1).
+	Begin(plan *Plan, opts Options)
 	// HashRound applies hf to recs (dataset record IDs, ascending) and
 	// returns the partition in CollectClusters' canonical order. It
 	// adds the round's busy time, bucket collisions and merges to st,
@@ -250,22 +291,47 @@ type HashRounder interface {
 	// evaluations and element hashes it streamed.
 	HashRound(recs []int32, hf *HashFunc, st *HashStats) [][]int32
 	// Caches reports the signature caches the rounds fill, none when
-	// they hash without one. The loop calls it once, before the first
-	// round, reports the caches' cumulative counters as per-run deltas
-	// and their per-hasher evaluations as Stats.HashEvals, charges the
+	// they hash without one. The loop calls it once, after Begin,
+	// reports the caches' cumulative counters as per-run deltas and
+	// their per-hasher evaluations as Stats.HashEvals, charges the
 	// incremental step cost only when there is a cache, and compacts
 	// the caches after the last round (Cache.Compact).
 	Caches() []*Cache
+	// End closes the run after the caches are compacted: the rounder
+	// drops what only the run's rounds read.
+	End()
 }
 
 // engineRounds is the single engine's HashRounder: ApplyHashOpt over
 // one signature cache (nil when the run streams its signatures) with
-// the run's hash options. Round one also fills the options' capture.
+// the run's hash options. Round one, over all, also fills the options'
+// capture.
 type engineRounds struct {
 	ds    *record.Dataset
+	all   []int32
 	plan  *Plan
 	cache *Cache
 	hopts HashOptions
+}
+
+// Begin takes opts.Cache (a cache of the run's own when nil, none with
+// DisableHashCache) and opts.HashPool (likewise), and binds
+// opts.Capture to round one.
+func (r *engineRounds) Begin(plan *Plan, opts Options) {
+	r.plan = plan
+	r.hopts = HashOptions{Workers: opts.Workers, MinParallel: opts.HashMinParallel, Pool: opts.HashPool}
+	if r.hopts.Pool == nil {
+		r.hopts.Pool = NewHashPool()
+	}
+	if !opts.DisableHashCache {
+		r.cache = opts.Cache
+		if r.cache == nil {
+			r.cache = NewCache(r.ds, len(plan.Hashers))
+		}
+	}
+	if opts.Capture != nil && r.ds.Len() > 0 {
+		r.hopts.Capture = opts.Capture.beginCapture(r.ds, plan, r.all)
+	}
 }
 
 func (r *engineRounds) HashRound(recs []int32, hf *HashFunc, st *HashStats) [][]int32 {
@@ -280,6 +346,8 @@ func (r *engineRounds) Caches() []*Cache {
 	}
 	return []*Cache{r.cache}
 }
+
+func (r *engineRounds) End() {}
 
 // FilterIncremental is the incremental output mode of Section 4.2: it
 // invokes emit for each final cluster the moment the cluster becomes
@@ -296,8 +364,9 @@ func FilterIncremental(ds *record.Dataset, plan *Plan, opts Options, emit func(C
 // cache of the run's own, or none with DisableHashCache) and
 // opts.HashPool. Those options, HashMinParallel and Capture configure
 // the single engine's rounds only; Capture with a non-nil rounds is an
-// error. After the last round, inside the filter span, it compacts the
-// caches rounds reports (Cache.Compact).
+// error. Inside the filter span it begins rounds' run before the first
+// round and, after the last, compacts the caches rounds reports
+// (Cache.Compact) and ends the run.
 func FilterRounds(ds *record.Dataset, plan *Plan, opts Options, rounds HashRounder, emit func(Cluster) bool, stats *Stats) error {
 	if opts.K < 1 {
 		return fmt.Errorf("core: K = %d, want >= 1", opts.K)
@@ -332,6 +401,7 @@ func FilterRounds(ds *record.Dataset, plan *Plan, opts Options, rounds HashRound
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
+	opts.Workers = workers
 	stats.Workers = workers
 	popts := PairwiseOptions{Workers: workers, NoSkip: opts.DisableTransitiveSkip, MinPairs: opts.PairwiseMinPairs}
 	all := make([]int32, ds.Len())
@@ -339,23 +409,9 @@ func FilterRounds(ds *record.Dataset, plan *Plan, opts Options, rounds HashRound
 		all[i] = int32(i)
 	}
 	if rounds == nil {
-		single := &engineRounds{ds: ds, plan: plan, hopts: HashOptions{
-			Workers: workers, MinParallel: opts.HashMinParallel, Pool: opts.HashPool,
-		}}
-		if !opts.DisableHashCache {
-			single.cache = opts.Cache
-			if single.cache == nil {
-				single.cache = NewCache(ds, len(plan.Hashers))
-			}
-		}
-		if single.hopts.Pool == nil {
-			single.hopts.Pool = NewHashPool()
-		}
-		if opts.Capture != nil && ds.Len() > 0 {
-			single.hopts.Capture = opts.Capture.beginCapture(ds, plan, all)
-		}
-		rounds = single
+		rounds = &engineRounds{ds: ds, all: all}
 	}
+	rounds.Begin(plan, opts)
 	caches := rounds.Caches()
 	var hashStats HashStats
 	hashStats.Evals = make([]int64, len(plan.Hashers))
@@ -449,30 +505,7 @@ func FilterRounds(ds *record.Dataset, plan *Plan, opts Options, rounds HashRound
 				pmem = obs.TakeMemSnapshot()
 			}
 			subs, pst := ApplyPairwiseOpt(ds, plan.Rule, c.recs, popts)
-			stats.PairwiseRounds++
-			stats.PairsComputed += pst.PairsComputed
-			stats.PairwiseMerges += pst.Merges
-			stats.PrefilterRejects += pst.PrefilterRejects
-			stats.EarlyExits += pst.EarlyExits
-			stats.PairwiseWall += pst.Wall
-			stats.PairwiseWork += pst.Work
-			stats.ModelCost += float64(pst.PairsComputed) * plan.Cost.CostP
-			if opts.Obs != nil {
-				// ApplyPairwiseOpt measured itself; forward its stats as
-				// the round's span rather than timing it twice.
-				span := obs.Span{
-					Stage: obs.StagePairwise, Wall: pst.Wall, Work: pst.Work,
-					Workers: pst.Workers, Waves: pst.Waves, Items: len(c.recs),
-				}
-				if pmem.Valid() {
-					span.Mem, span.MemSampled = pmem.Delta(), true
-				}
-				opts.Obs.Span(span)
-				opts.Obs.Count(obs.CtrPairComparisons, pst.PairsComputed)
-				opts.Obs.Count(obs.CtrMerges, pst.Merges)
-				obs.Count(opts.Obs, obs.CtrKernelPrefilterRejects, pst.PrefilterRejects)
-				obs.Count(opts.Obs, obs.CtrKernelEarlyExits, pst.EarlyExits)
-			}
+			stats.AddPairwise(pst, len(c.recs), plan.Cost.CostP, pmem, opts.Obs)
 			for _, recs := range subs {
 				bins.Add(&workCluster{recs: recs, final: true, byP: true})
 			}
@@ -502,11 +535,7 @@ func FilterRounds(ds *record.Dataset, plan *Plan, opts Options, rounds HashRound
 	obs.Count(opts.Obs, obs.CtrSigElemsHashed, elems-baseElems+hashStats.SigElems)
 	// HashEvals is cumulative per hasher: the caches' lifetime counts
 	// or, without a cache, the evaluations this run streamed.
-	for _, c := range caches {
-		for h, n := range c.HashEvals() {
-			hashStats.Evals[h] += n
-		}
-	}
+	sumHashEvals(hashStats.Evals, caches)
 	stats.HashEvals = hashStats.Evals
 	stats.HashWork = hashStats.Work
 	// The capture's finishing work (bucket runs, kernel prepare) is part
@@ -515,6 +544,7 @@ func FilterRounds(ds *record.Dataset, plan *Plan, opts Options, rounds HashRound
 		opts.Capture.finish()
 	}
 	compactCaches(caches, workers)
+	rounds.End()
 	// The whole-run span charges the concurrent stages by busy time and
 	// everything else (design lookups, bin maintenance, reduction,
 	// finishing the capture, compacting the caches) once.

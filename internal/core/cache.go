@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"sync/atomic"
 
 	"github.com/topk-er/adalsh/internal/lshfamily"
@@ -31,6 +32,9 @@ import (
 // Compact are not safe to call concurrently with anything.
 type Cache struct {
 	ds *record.Dataset
+	// descs describes the hashers whose values the cache holds, as
+	// CacheFor and RestoreStream record them (nil for NewCache's).
+	descs []lshfamily.Desc
 	// refs[h][rec] locates rec's prefix in arenas[h].
 	arenas []*sigArena
 	refs   [][]sigRef
@@ -60,6 +64,23 @@ func NewCache(ds *record.Dataset, numHashers int) *Cache {
 		c.arenas[h] = newSigArena()
 		c.refs[h] = make([]sigRef, ds.Len())
 	}
+	return c
+}
+
+// CacheFor is the one rule by which a long-lived cache survives across
+// runs, used by Stream and by the sharded engine's shard caches: it
+// returns c, grown to ds's records, when c holds the values of hashers
+// with plan's descriptors, and otherwise a new cache for plan's hashers
+// over ds. Base hash values depend only on the hasher descriptors, so
+// a re-designed plan whose descriptors are unchanged keeps every cached
+// prefix. A nil c always gets a new cache.
+func CacheFor(c *Cache, ds *record.Dataset, plan *Plan) *Cache {
+	if c != nil && reflect.DeepEqual(c.descs, plan.HasherDescs) {
+		c.Grow(ds.Len())
+		return c
+	}
+	c = NewCache(ds, len(plan.Hashers))
+	c.descs = plan.HasherDescs
 	return c
 }
 
@@ -122,6 +143,15 @@ func (c *Cache) HashEvals() []int64 {
 		out[h] = atomic.LoadInt64(&c.evals[h])
 	}
 	return out
+}
+
+// sumHashEvals adds the caches' per-hasher evaluation counts into sum.
+func sumHashEvals(sum []int64, caches []*Cache) {
+	for _, c := range caches {
+		for h := range c.evals {
+			sum[h] += atomic.LoadInt64(&c.evals[h])
+		}
+	}
 }
 
 // TotalEvals reports the total base hash evaluations across hashers.

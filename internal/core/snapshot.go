@@ -256,6 +256,7 @@ func RestoreStream(st *StreamState) (*Stream, error) {
 		return nil, err
 	}
 	cache.Grow(st.Dataset.Len())
+	cache.descs = st.Plan.HasherDescs
 	s.plan, s.plannedAt, s.cache = st.Plan, st.PlannedAt, cache
 	return s, nil
 }

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"reflect"
 
 	"github.com/topk-er/adalsh/internal/distance"
 	"github.com/topk-er/adalsh/internal/obs"
@@ -44,11 +43,14 @@ func (e *CheckpointError) Unwrap() error { return e.Err }
 const defaultReplanGrowth = 2.0
 
 // Stream answers top-k entity queries over a growing dataset — the
-// online setting the paper sketches as future work in Section 9. The
-// stream keeps one long-lived hash cache: base hash values computed for
-// a record during one query are reused by every later query, so after
-// records stop arriving the marginal cost of a query approaches the
-// cost of re-clustering alone, with no re-hashing.
+// online setting the paper sketches as future work in Section 9. Each
+// query is one run of Algorithm 1's loop (FilterRounds) over everything
+// added so far. The stream keeps one long-lived hash cache: base hash
+// values computed for a record during one query are reused by every
+// later query, so after records stop arriving the marginal cost of a
+// query approaches the cost of re-clustering alone, with no re-hashing.
+// An attached HashRounder (SetRounder; internal/shard's sharded engine)
+// runs the hashing rounds instead and keeps the caches itself.
 //
 // The hashing plan is designed lazily at the first query (it needs
 // records for vector dimensions and cost calibration). A plan designed
@@ -58,8 +60,8 @@ const defaultReplanGrowth = 2.0
 // factor (default 2x) of its size at design time. Re-designs preserve
 // the hash cache whenever the re-designed hashers are identical to the
 // old ones (they are, for a fixed rule, seed and field layout: hasher
-// descriptors depend only on those), so amortization survives
-// re-planning. Stream is not safe for concurrent use.
+// descriptors depend only on those; see CacheFor), so amortization
+// survives re-planning. Stream is not safe for concurrent use.
 type Stream struct {
 	rule    distance.Rule
 	cfg     SequenceConfig
@@ -101,23 +103,11 @@ type Stream struct {
 	// index (>0 absolute, 0 heuristic, <0 never; see SetQueryRefresh).
 	queryRefresh int
 
-	// engine, when non-nil, replaces the built-in filtering engine
-	// (SetEngine): TopKClusters delegates each pass to it instead of
-	// calling Filter. The stream then keeps no signature cache and no
-	// point-query index of its own — the engine owns the expensive
-	// state (the sharded engine keeps per-shard caches).
-	engine FilterFunc
+	// rounder, when non-nil, runs the hashing rounds of every query in
+	// place of the single engine's (SetRounder); the stream then keeps
+	// no signature cache and no point-query index of its own.
+	rounder HashRounder
 }
-
-// FilterFunc is a pluggable filtering engine for a Stream: one
-// filtering pass over the stream's dataset with the stream's current
-// plan. Implementations must honor the core.Options semantics they
-// support and return results equivalent to Filter. The sharded engine
-// runs this package's loop (FilterRounds) with its own HashRounder and
-// returns byte-identical ones. The Cache, HashPool and Capture fields
-// of opts are nil when a Stream drives a custom engine: the engine
-// owns its caching state across calls.
-type FilterFunc func(ds *record.Dataset, plan *Plan, opts Options) (*Result, error)
 
 // NewStream creates an empty stream for the given matching rule. The
 // stream keeps one scratch pool alongside the hash cache, so the hash
@@ -157,27 +147,26 @@ func (s *Stream) SetHashMinParallel(n int) { s.hashMin = n }
 // and plan re-designs bump the replans counter. A nil sink detaches.
 func (s *Stream) SetObs(sink obs.Sink) { s.sink = sink }
 
-// SetEngine replaces the stream's built-in filtering engine with fn
-// (internal/shard attaches its sharded engine this way: fn runs
-// FilterRounds with the engine's hash rounds; the import points from
-// shard to core, so the hook lives here). A nil fn restores the
-// built-in engine.
+// SetRounder makes r the hashing rounds of every later query: each
+// TopK/TopKClusters runs FilterRounds with r instead of the single
+// engine's rounds. r must be bound to the stream's dataset
+// (internal/shard's Attach binds its sharded engine this way; the
+// import points from shard to core, so the hook lives here). A nil r
+// restores the single engine, whose next query starts a fresh
+// signature cache.
 //
-// With a custom engine attached the stream stops maintaining its own
-// signature cache and point-query index: the engine owns signature
-// state (and must keep it consistent with the growing dataset), and
-// Query returns ErrNoQueryIndex — point lookups need the single
+// While r is attached the stream keeps no signature cache and no
+// point-query index: r keeps the signature state across queries, and
+// Query returns ErrNoQueryIndex, because point lookups need the single
 // engine's round-one bucket capture. Plan design, growth-triggered
 // re-planning and checkpoint hooks behave unchanged.
-func (s *Stream) SetEngine(fn FilterFunc) {
-	s.engine = fn
-	if fn != nil {
+func (s *Stream) SetRounder(r HashRounder) {
+	s.rounder = r
+	if r != nil {
 		s.cache = nil
+		s.qix.Release(s.pool)
 	}
 }
-
-// Engine reports whether a custom filtering engine is attached.
-func (s *Stream) Engine() bool { return s.engine != nil }
 
 // Obs reports the stream's observability sink (nil when detached);
 // snapshot codecs use it to report save/restore spans on the stream's
@@ -274,26 +263,21 @@ func (s *Stream) TopKClusters(k, returnClusters int) (*Result, error) {
 		qt.End()
 		return nil, err
 	}
-	var res *Result
-	var err error
-	if s.engine != nil {
-		res, err = s.engine(s.ds, s.plan, Options{
-			K: k, ReturnClusters: returnClusters,
-			Workers: s.workers, HashMinParallel: s.hashMin,
-			Obs: s.sink,
-		})
-	} else {
-		s.cache.Grow(s.ds.Len())
+	opts := Options{
+		K: k, ReturnClusters: returnClusters,
+		Workers: s.workers, HashMinParallel: s.hashMin, Obs: s.sink,
+	}
+	if s.rounder == nil {
+		s.cache = CacheFor(s.cache, s.ds, s.plan)
 		if s.qix == nil {
 			s.qix = &QueryIndex{}
 		}
 		s.qix.Release(s.pool)
-		res, err = Filter(s.ds, s.plan, Options{
-			K: k, ReturnClusters: returnClusters, Cache: s.cache, HashPool: s.pool,
-			Workers: s.workers, HashMinParallel: s.hashMin,
-			Obs: s.sink, Capture: s.qix,
-		})
+		opts.Cache, opts.HashPool, opts.Capture = s.cache, s.pool, s.qix
 	}
+	res, err := Collect(func(emit func(Cluster) bool, stats *Stats) error {
+		return FilterRounds(s.ds, s.plan, opts, s.rounder, emit, stats)
+	})
 	if err != nil {
 		qt.Errored = true
 		qt.End()
@@ -368,9 +352,9 @@ func (s *Stream) Query(q *record.Record, m int) (*QueryResult, error) {
 	if m < 1 {
 		return nil, fmt.Errorf("core: query m = %d, want >= 1", m)
 	}
-	if s.engine != nil {
-		// Custom engines (the sharded one) keep no bucket capture to
-		// probe; point lookups are a built-in-engine feature.
+	if s.rounder != nil {
+		// Only the single engine's rounds capture the buckets a lookup
+		// probes.
 		return nil, ErrNoQueryIndex
 	}
 	if !s.qix.Built() {
@@ -423,7 +407,7 @@ func (s *Stream) QueryIndex() *QueryIndex { return s.qix }
 
 // Cache exposes the stream's signature cache for memory accounting
 // (Cache.MemBytes): nil before the first TopK/TopKClusters run and
-// while a custom engine, which keeps its own, is attached.
+// while a rounder, which keeps its own, is attached.
 func (s *Stream) Cache() *Cache { return s.cache }
 
 // HashPool exposes the stream's hash-stage scratch pool for memory
@@ -432,9 +416,8 @@ func (s *Stream) HashPool() *HashPool { return s.pool }
 
 // ensurePlan designs the plan on first use and re-designs it when the
 // dataset has outgrown the design-time size by the configured factor.
-// Re-designs keep the hash cache when the new plan's hasher
-// descriptors are identical to the old ones (the cached base hash
-// values are then still valid — they depend only on the hashers).
+// Whether the signature caches survive a re-design is CacheFor's
+// decision, taken when the next run begins.
 func (s *Stream) ensurePlan() error {
 	if s.plan != nil &&
 		float64(s.ds.Len()) < s.effReplanGrowth()*float64(s.plannedAt) {
@@ -444,26 +427,7 @@ func (s *Stream) ensurePlan() error {
 	if err != nil {
 		return err
 	}
-	switch {
-	case s.engine != nil:
-		// A custom engine owns signature state; the stream keeps no
-		// cache of its own. Replans still count below when one exists.
-		if s.plan != nil {
-			s.replans++
-			obs.Count(s.sink, obs.CtrReplans, 1)
-		}
-	case s.plan == nil:
-		s.cache = NewCache(s.ds, len(plan.Hashers))
-	case reflect.DeepEqual(s.plan.HasherDescs, plan.HasherDescs):
-		// Same hashers — the long-lived cache stays valid; only the
-		// budgets/schemes and the re-calibrated cost model changed.
-		s.replans++
-		obs.Count(s.sink, obs.CtrReplans, 1)
-	default:
-		// The hasher set itself changed (e.g. a different rule-driven
-		// descriptor after growth); cached values are for the old
-		// functions and must be dropped.
-		s.cache = NewCache(s.ds, len(plan.Hashers))
+	if s.plan != nil {
 		s.replans++
 		obs.Count(s.sink, obs.CtrReplans, 1)
 	}
@@ -476,12 +440,19 @@ func (s *Stream) ensurePlan() error {
 func (s *Stream) Plan() *Plan { return s.plan }
 
 // CachedHashEvals reports the cumulative number of base hash
-// evaluations performed across all queries, per hasher. The amortizing
+// evaluations performed across all queries, per hasher: the stream's
+// cache's, or summed over an attached rounder's caches. The amortizing
 // effect of the stream shows as this growing sublinearly in the number
-// of queries.
+// of queries. Nil before the first query.
 func (s *Stream) CachedHashEvals() []int64 {
-	if s.cache == nil {
+	caches := []*Cache{s.cache}
+	if s.rounder != nil {
+		caches = s.rounder.Caches()
+	}
+	if len(caches) == 0 || caches[0] == nil {
 		return nil
 	}
-	return s.cache.HashEvals()
+	sum := make([]int64, len(caches[0].evals))
+	sumHashEvals(sum, caches)
+	return sum
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"sync"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"github.com/topk-er/adalsh/internal/core"
 	"github.com/topk-er/adalsh/internal/datasets"
 	"github.com/topk-er/adalsh/internal/obs"
+	"github.com/topk-er/adalsh/internal/record"
 	"github.com/topk-er/adalsh/internal/shard"
 )
 
@@ -25,6 +27,19 @@ func stripBoundaryCounters(ctrs map[string]int64) map[string]int64 {
 		out[k] = v
 	}
 	return out
+}
+
+// shardedFilter runs core's loop to completion with the hash rounds of
+// a new sharded engine over ds at the given shard count.
+func shardedFilter(ds *record.Dataset, plan *core.Plan, shards int, opts core.Options) (*core.Result, *shard.Engine, error) {
+	eng, err := shard.New(ds, shard.Options{Shards: shards})
+	if err != nil {
+		return nil, nil, err
+	}
+	res, err := core.Collect(func(emit func(core.Cluster) bool, st *core.Stats) error {
+		return eng.FilterIncremental(plan, opts, emit, st)
+	})
+	return res, eng, err
 }
 
 // earlyStop runs an incremental filter whose emit stops it after the
@@ -94,8 +109,8 @@ func TestShardedEquivalenceOnBuilders(t *testing.T) {
 				label := fmt.Sprintf("%s/workers=%d/shards=%d", name, workers, shards)
 				scol := obs.NewCollector()
 				var shardedRounds []core.RoundInfo
-				sharded, err := shard.Filter(b.Dataset, plan, shard.Options{
-					Shards: shards, K: 5, Workers: workers,
+				sharded, _, err := shardedFilter(b.Dataset, plan, shards, core.Options{
+					K: 5, Workers: workers,
 					PairwiseMinPairs: 1 << 62,
 					Obs:              scol,
 					OnRound:          func(ri core.RoundInfo) { shardedRounds = append(shardedRounds, ri) },
@@ -158,6 +173,127 @@ func TestShardedEquivalenceOnBuilders(t *testing.T) {
 	}
 }
 
+// streamPhase is what one TopKClusters call of a stream produced: the
+// result, the stream's obs counters so far and its CachedHashEvals.
+type streamPhase struct {
+	res    *core.Result
+	ctrs   map[string]int64
+	cached []int64
+}
+
+// TestShardedStreamEquivalenceOnBuilders is the stream form of
+// TestShardedEquivalenceOnBuilders. Streams boot from one hand-built
+// state, the way the serving benchmark boots its session: the designed
+// plan, no cache and re-planning off, over the first half of a builder
+// slice. One stream runs the single engine; the others have the
+// sharded engine attached at shards {1, 2, 8}, each at workers {1, 4}.
+// Every stream takes two TopKClusters phases, the second after the
+// slice's other half arrived. Per phase the clusters, the output,
+// HashEvals, PairsComputed, ModelCost, the round and kernel counts, the
+// obs counters without the sharded engine's own and CachedHashEvals
+// must be identical: with one plan, attaching a rounder may change
+// where a stream's work runs, never what it computes.
+func TestShardedStreamEquivalenceOnBuilders(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full filter sweeps")
+	}
+	p := NewProvider(42)
+	benches := map[string]*datasets.Benchmark{
+		"cora":     p.Cora(1),
+		"spotsigs": p.SpotSigs(1, 0.4),
+		"images":   p.Images("1.05", 15),
+	}
+	const slice = 600
+	for name, full := range benches {
+		b := sliceBenchmark(full, slice)
+		plan, err := p.Plan(b, defaultSeq())
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		half := b.Dataset.Len() / 2
+		first := make([]int, half)
+		for i := range first {
+			first[i] = i
+		}
+		// run boots a stream, attaches shards > 0 of the sharded engine
+		// and takes both phases.
+		run := func(label string, workers, shards int) []streamPhase {
+			st, err := core.RestoreStream(&core.StreamState{
+				Rule: b.Rule, Config: core.SequenceConfig{Seed: p.Seed},
+				Dataset: b.Dataset.Subset(name, first), Plan: plan,
+				PlannedAt: half, ReplanGrowth: math.Inf(1),
+			})
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			col := obs.NewCollector()
+			st.SetObs(col)
+			st.SetWorkers(workers)
+			if shards > 0 {
+				if _, err := shard.Attach(st, shards); err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+			}
+			var phases []streamPhase
+			for phase := 0; phase < 2; phase++ {
+				if phase == 1 {
+					for id := half; id < b.Dataset.Len(); id++ {
+						st.AddWithTruth(b.Dataset.Truth[id], b.Dataset.Records[id].Fields...)
+					}
+				}
+				res, err := st.TopKClusters(5, 0)
+				if err != nil {
+					t.Fatalf("%s/phase=%d: %v", label, phase, err)
+				}
+				phases = append(phases, streamPhase{res, stripBoundaryCounters(col.Counters()), st.CachedHashEvals()})
+			}
+			if st.Replans() != 0 {
+				t.Errorf("%s: %d replans with re-planning off", label, st.Replans())
+			}
+			return phases
+		}
+		for _, workers := range []int{1, 4} {
+			want := run(fmt.Sprintf("%s/workers=%d/single", name, workers), workers, 0)
+			for _, shards := range []int{1, 2, 8} {
+				label := fmt.Sprintf("%s/workers=%d/shards=%d", name, workers, shards)
+				for phase, got := range run(label, workers, shards) {
+					label := fmt.Sprintf("%s/phase=%d", label, phase)
+					g, w := got.res, want[phase].res
+					if !reflect.DeepEqual(g.Clusters, w.Clusters) {
+						t.Errorf("%s: clusters differ from the single-engine stream", label)
+					}
+					if !reflect.DeepEqual(g.Output, w.Output) {
+						t.Errorf("%s: output differs from the single-engine stream", label)
+					}
+					if !reflect.DeepEqual(g.Stats.HashEvals, w.Stats.HashEvals) {
+						t.Errorf("%s: HashEvals %v != single %v", label, g.Stats.HashEvals, w.Stats.HashEvals)
+					}
+					if g.Stats.PairsComputed != w.Stats.PairsComputed {
+						t.Errorf("%s: PairsComputed %d != single %d", label, g.Stats.PairsComputed, w.Stats.PairsComputed)
+					}
+					if g.Stats.ModelCost != w.Stats.ModelCost {
+						t.Errorf("%s: ModelCost %v != single %v", label, g.Stats.ModelCost, w.Stats.ModelCost)
+					}
+					if g.Stats.HashRounds != w.Stats.HashRounds || g.Stats.PairwiseRounds != w.Stats.PairwiseRounds {
+						t.Errorf("%s: rounds hash %d pairwise %d, single %d and %d", label,
+							g.Stats.HashRounds, g.Stats.PairwiseRounds, w.Stats.HashRounds, w.Stats.PairwiseRounds)
+					}
+					if g.Stats.PrefilterRejects != w.Stats.PrefilterRejects || g.Stats.EarlyExits != w.Stats.EarlyExits {
+						t.Errorf("%s: kernel prefilter rejects %d early exits %d, single %d and %d", label,
+							g.Stats.PrefilterRejects, g.Stats.EarlyExits, w.Stats.PrefilterRejects, w.Stats.EarlyExits)
+					}
+					if !reflect.DeepEqual(got.ctrs, want[phase].ctrs) {
+						t.Errorf("%s: obs counters differ:\n  sharded: %v\n  single:  %v", label, got.ctrs, want[phase].ctrs)
+					}
+					if got.cached == nil || !reflect.DeepEqual(got.cached, want[phase].cached) {
+						t.Errorf("%s: CachedHashEvals %v, single %v", label, got.cached, want[phase].cached)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestShardedCounterIdentity verifies the reconcile accounting
 // identities the sharded engine's byte-identical counters rest on:
 // summed per-shard collisions plus boundary pairs equal the single
@@ -180,13 +316,10 @@ func TestShardedCounterIdentity(t *testing.T) {
 	single := col.Counters()
 
 	for _, shards := range []int{2, 4, 8} {
-		eng, err := shard.New(b.Dataset, shard.Options{
-			Shards: shards, K: 5, Workers: 4, PairwiseMinPairs: 1 << 62,
+		res, eng, err := shardedFilter(b.Dataset, plan, shards, core.Options{
+			K: 5, Workers: 4, PairwiseMinPairs: 1 << 62,
 		})
 		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := eng.Filter(plan); err != nil {
 			t.Fatalf("shards=%d: %v", shards, err)
 		}
 		var coll, merges, evals, owned int64
@@ -204,9 +337,9 @@ func TestShardedCounterIdentity(t *testing.T) {
 		// The merges counter spans both stages: per-shard hash merges +
 		// reconcile merges account for the hash rounds, pairwise rounds
 		// run unsharded and contribute their merges unchanged.
-		if got, want := merges+bd.Merges+eng.PairwiseMerges(), single["merges"]; got != want {
+		if got, want := merges+bd.Merges+res.Stats.PairwiseMerges, single["merges"]; got != want {
 			t.Errorf("shards=%d: per-shard merges %d + reconcile merges %d + pairwise merges %d = %d, single engine %d",
-				shards, merges, bd.Merges, eng.PairwiseMerges(), got, want)
+				shards, merges, bd.Merges, res.Stats.PairwiseMerges, got, want)
 		}
 		if got, want := evals, single["hash_evals"]; got != want {
 			t.Errorf("shards=%d: per-shard hash evals sum %d, single engine %d", shards, got, want)
@@ -245,8 +378,8 @@ func TestShardedFilterRace(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i], errs[i] = shard.Filter(b.Dataset, plan, shard.Options{
-				Shards: 8, K: 5, Workers: 4, PairwiseMinPairs: 1 << 62,
+			results[i], _, errs[i] = shardedFilter(b.Dataset, plan, 8, core.Options{
+				K: 5, Workers: 4, PairwiseMinPairs: 1 << 62,
 			})
 		}(i)
 	}

@@ -66,7 +66,10 @@ type CreateSessionRequest struct {
 	// shards with a cross-shard reconcile; byte-identical output).
 	// Sharded sessions do not serve point queries — POST .../query
 	// returns 409 exactly as before a first top-k run. A negative value,
-	// or one above MaxSessionParallelism, is refused (400).
+	// or one above MaxSessionParallelism, is refused (400). Snapshots
+	// carry no shard count, so a checkpointed sharded session comes
+	// back from a warm boot (Server.LoadDir) on the single engine, with
+	// point queries.
 	Shards int `json:"shards,omitempty"`
 	// QueryProbes / QueryRefresh tune point lookups
 	// (Stream.SetQueryProbes / SetQueryRefresh semantics). A negative

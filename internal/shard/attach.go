@@ -1,19 +1,15 @@
 package shard
 
-import (
-	"fmt"
+import "github.com/topk-er/adalsh/internal/core"
 
-	"github.com/topk-er/adalsh/internal/core"
-	"github.com/topk-er/adalsh/internal/record"
-)
-
-// Attach binds a sharded engine to a core.Stream: every subsequent
-// TopK/TopKClusters call on the stream runs core's loop with the
-// engine's hash rounds (Engine.FilterIncremental) — P concurrent shards
-// plus the reconcile pass — instead of the single engine's, with
+// Attach binds a sharded engine to a core.Stream as its hashing rounds
+// (core.Stream.SetRounder): every subsequent TopK/TopKClusters call on
+// the stream runs core's loop with the engine's rounds — P concurrent
+// shards plus the reconcile pass — instead of the single engine's, with
 // byte-identical results. The engine persists across calls, so the
 // per-shard signature caches amortize hashing over the growing stream
-// exactly as the built-in cache does.
+// exactly as the built-in cache does, and the stream's
+// CachedHashEvals sums them.
 //
 // The stream's options reach the loop unchanged: SetWorkers bounds the
 // number of concurrently hashing shards and reconcile probe workers as
@@ -26,15 +22,10 @@ import (
 // Attach(st, 1) is valid (one shard, still reconciled) but pointless
 // outside tests; shards < 1 is an error.
 func Attach(st *core.Stream, shards int) (*Engine, error) {
-	if shards < 1 {
-		return nil, fmt.Errorf("shard: attach with %d shards, want >= 1", shards)
-	}
 	e, err := New(st.Dataset(), Options{Shards: shards})
 	if err != nil {
 		return nil, err
 	}
-	st.SetEngine(func(_ *record.Dataset, plan *core.Plan, opts core.Options) (*core.Result, error) {
-		return e.collect(plan, opts)
-	})
+	st.SetRounder(e)
 	return e, nil
 }

@@ -212,7 +212,7 @@ func TestProbeExchangeMatchesMapOracle(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					e.begin(plan, core.Options{Workers: workers})
+					e.Begin(plan, core.Options{Workers: workers})
 					without := func(skip int) []int32 {
 						var recs []int32
 						for id := 0; id < n; id++ {

@@ -38,8 +38,6 @@ package shard
 
 import (
 	"fmt"
-	"reflect"
-	"runtime"
 	"sync"
 	"time"
 
@@ -69,9 +67,8 @@ type Options struct {
 	// tests); use core.Filter directly when no partitioning is wanted.
 	Shards int
 
-	// K and ReturnClusters follow core.Options semantics.
-	K              int
-	ReturnClusters int
+	// K follows core.Options semantics.
+	K int
 
 	// Workers bounds the number of concurrently hashing shards and of
 	// concurrent reconcile probe workers, and is the pairwise stage's
@@ -79,8 +76,6 @@ type Options struct {
 	// GOMAXPROCS, 1 runs shards and probes one after another — output is
 	// identical for every value).
 	Workers int
-	// PairwiseMinPairs follows core.Options.PairwiseMinPairs.
-	PairwiseMinPairs int64
 
 	// MemSample and Obs follow core.Options semantics. Each hashing
 	// round reports one StageHash span for the whole round plus one
@@ -89,9 +84,6 @@ type Options struct {
 	// reconcile_merges counters.
 	MemSample bool
 	Obs       obs.Sink
-
-	// OnRound follows core.Options.OnRound.
-	OnRound func(core.RoundInfo)
 }
 
 // ShardStats describes one shard's work during the engine's most
@@ -196,25 +188,16 @@ type Engine struct {
 	synced int
 	// localID[id] is record id's dense index within its owner shard.
 	localID []int32
-	// descs guards per-shard cache validity across replans (same
-	// contract as core.Stream: caches survive a replan iff the hasher
-	// descriptors are unchanged).
-	descs  any
+	// caches are the shards' signature caches, in shard order.
 	caches []*core.Cache
 
 	// plan, sink and sem are the current run's plan, stats sink and
-	// concurrency bound (Workers slots), set by begin for HashRound.
+	// concurrency bound (Workers slots), set by Begin for HashRound.
 	plan *core.Plan
 	sink obs.Sink
 	sem  chan struct{}
 
 	boundary BoundaryStats
-	// pairwiseMerges is the most recent run's Stats.PairwiseMerges: the
-	// merges of the pairwise verification rounds, which run in core's
-	// loop on global record IDs. Together with the per-shard hash merges
-	// and the reconcile merges it accounts for the run's full merges
-	// counter.
-	pairwiseMerges int64
 }
 
 // New creates a sharded engine over ds with opts.Shards partitions.
@@ -232,16 +215,6 @@ func New(ds *record.Dataset, opts Options) (*Engine, error) {
 		}
 	}
 	return e, nil
-}
-
-// SetOptions replaces the engine's run options. Shards is fixed at
-// construction — a differing opts.Shards is rejected.
-func (e *Engine) SetOptions(opts Options) error {
-	if opts.Shards != e.p {
-		return fmt.Errorf("shard: engine has %d shards, options want %d", e.p, opts.Shards)
-	}
-	e.opts = opts
-	return nil
 }
 
 // PerShard reports per-shard statistics of the most recent run
@@ -262,12 +235,6 @@ func (e *Engine) PerShard() []ShardStats {
 // Boundary reports the reconcile statistics of the most recent run.
 func (e *Engine) Boundary() BoundaryStats { return e.boundary }
 
-// PairwiseMerges reports the most recent run's parent-pointer merges
-// performed by pairwise verification rounds. Summed per-shard merges +
-// reconcile merges + pairwise merges equal the single-engine merges
-// counter exactly (the counter-identity tests pin this down).
-func (e *Engine) PairwiseMerges() int64 { return e.pairwiseMerges }
-
 // sync assigns records added since the last call to their owner
 // shards. Shard-local IDs are assigned in global-ID order, so each
 // shard's local ordering agrees with the global one — the invariant
@@ -286,66 +253,13 @@ func (e *Engine) sync() {
 	e.synced = n
 }
 
-// ensureCaches creates (or grows) the per-shard signature caches for
-// the plan. A plan whose hasher descriptors differ from the previous
-// run's drops the caches, mirroring core.Stream.ensurePlan.
-func (e *Engine) ensureCaches(plan *core.Plan) {
-	fresh := e.descs == nil || !reflect.DeepEqual(e.descs, plan.HasherDescs)
-	e.caches = e.caches[:0]
-	for _, s := range e.shards {
-		if fresh || s.cache == nil {
-			s.cache = core.NewCache(s.lds, len(plan.Hashers))
-		} else {
-			s.cache.Grow(s.lds.Len())
-		}
-		e.caches = append(e.caches, s.cache)
-	}
-	e.descs = plan.HasherDescs
-}
-
-// begin readies the engine for one run of core's loop: new records go
-// to their owner shards, the caches follow the plan, the rounds get
-// opts's sink and at most opts.Workers concurrent shard scans and probe
-// workers (0 means GOMAXPROCS), and the per-run statistics restart.
-func (e *Engine) begin(plan *core.Plan, opts core.Options) {
-	e.sync()
-	e.ensureCaches(plan)
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	e.plan, e.sink, e.sem = plan, opts.Obs, make(chan struct{}, workers)
-	for _, s := range e.shards {
-		s.prevEvals = s.cache.TotalEvals()
-		s.stats = ShardStats{}
-	}
-	e.boundary = BoundaryStats{}
-}
-
-// Filter runs Algorithm 1 over the sharded dataset and returns a
-// result byte-identical — clusters, output, stats, counters — to
-// core.Filter over the same dataset, plan and K (with the hash cache
-// enabled, the single engine's default).
-func Filter(ds *record.Dataset, plan *core.Plan, opts Options) (*core.Result, error) {
-	e, err := New(ds, opts)
-	if err != nil {
-		return nil, err
-	}
-	return e.Filter(plan)
-}
-
-// Filter runs one sharded filtering pass with the engine's options.
+// Filter runs one sharded filtering pass with the engine's options and
+// returns a result byte-identical (clusters, output, stats, counters)
+// to core.Filter's over the same dataset, plan and K with the hash
+// cache on, the single engine's default.
 func (e *Engine) Filter(plan *core.Plan) (*core.Result, error) {
 	o := e.opts
-	return e.collect(plan, core.Options{
-		K: o.K, ReturnClusters: o.ReturnClusters, Workers: o.Workers,
-		PairwiseMinPairs: o.PairwiseMinPairs, MemSample: o.MemSample,
-		Obs: o.Obs, OnRound: o.OnRound,
-	})
-}
-
-// collect runs FilterIncremental to completion into a Result.
-func (e *Engine) collect(plan *core.Plan, opts core.Options) (*core.Result, error) {
+	opts := core.Options{K: o.K, Workers: o.Workers, MemSample: o.MemSample, Obs: o.Obs}
 	return core.Collect(func(emit func(core.Cluster) bool, stats *core.Stats) error {
 		return e.FilterIncremental(plan, opts, emit, stats)
 	})
@@ -361,24 +275,41 @@ func (e *Engine) collect(plan *core.Plan, opts core.Options) (*core.Result, erro
 // bounds the concurrent shard exports and boundary probes; each export
 // fills its tables on one goroutine. stats may be nil.
 func (e *Engine) FilterIncremental(plan *core.Plan, opts core.Options, emit func(core.Cluster) bool, stats *core.Stats) error {
-	e.begin(plan, opts)
-	if stats == nil {
-		stats = &core.Stats{}
-	}
-	err := core.FilterRounds(e.ds, plan, opts, e, emit, stats)
+	return core.FilterRounds(e.ds, plan, opts, e, emit, stats)
+}
+
+// Begin implements core.HashRounder: records added since the last run
+// go to their owner shards, each shard's cache follows the plan
+// (core.CacheFor), the rounds get opts' sink and at most opts.Workers
+// concurrent shard scans and probe workers, and the per-run statistics
+// restart.
+func (e *Engine) Begin(plan *core.Plan, opts core.Options) {
+	e.sync()
+	e.caches = e.caches[:0]
 	for _, s := range e.shards {
-		s.stats.HashEvals = s.cache.TotalEvals() - s.prevEvals
-		// Only a round reads its inputs and outputs: keeping round
-		// one's buffers would hold them at the whole shard's size.
-		s.lrecs, s.posIdx, s.subs, s.reps = nil, nil, nil, nil
+		s.cache = core.CacheFor(s.cache, s.lds, plan)
+		e.caches = append(e.caches, s.cache)
+		s.prevEvals = s.cache.TotalEvals()
+		s.stats = ShardStats{}
 	}
-	e.pairwiseMerges = stats.PairwiseMerges
-	return err
+	e.plan, e.sink, e.sem = plan, opts.Obs, make(chan struct{}, opts.Workers)
+	e.boundary = BoundaryStats{}
 }
 
 // Caches implements core.HashRounder: the shards' signature caches,
 // in shard order.
 func (e *Engine) Caches() []*core.Cache { return e.caches }
+
+// End implements core.HashRounder: it sets the shards' per-run eval
+// counts and drops their round buffers. Only a round reads its inputs
+// and outputs: keeping round one's buffers would hold them at the
+// whole shard's size.
+func (e *Engine) End() {
+	for _, s := range e.shards {
+		s.stats.HashEvals = s.cache.TotalEvals() - s.prevEvals
+		s.lrecs, s.posIdx, s.subs, s.reps = nil, nil, nil, nil
+	}
+}
 
 // HashRound implements core.HashRounder: partition the round's records
 // by owner, hash every shard's slice concurrently (each a serial
@@ -390,7 +321,7 @@ func (e *Engine) Caches() []*core.Cache { return e.caches }
 // partitioning and forest work counted once), its collisions
 // (shard-local plus boundary pairs) and its merges (shard-local plus
 // reconcile), which is exactly what the single engine counts. It is
-// valid only inside a run FilterIncremental began.
+// valid only inside a run Begin began.
 func (e *Engine) HashRound(recs []int32, hf *core.HashFunc, st *core.HashStats) [][]int32 {
 	start := time.Now()
 	plan, sem := e.plan, e.sem

@@ -71,9 +71,6 @@ func TestAttachStreamEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sharded.Engine() {
-		t.Fatal("Engine() = false after Attach")
-	}
 
 	addEntities(rng, []int{12, 8, 5, 0}, bases, plain, sharded)
 	for phase, extra := range [][]int{nil, {0, 6, 10, 9}} {
@@ -153,14 +150,48 @@ func TestNewValidation(t *testing.T) {
 	if _, err := shard.Attach(core.NewStream(jaccardRule(), core.SequenceConfig{}), 0); err == nil {
 		t.Error("Attach with 0 shards succeeded")
 	}
-	eng, err := shard.New(ds, shard.Options{Shards: 2, K: 1})
+}
+
+// TestDetachRestoresSingleEngine: SetRounder(nil) after sharded queries
+// returns the stream to the single engine, which starts a fresh
+// signature cache. The next TopK matches a plain stream's clusters and
+// Query answers again. The filter-function hook this replaced left the
+// stream without a cache, and the next TopK panicked in Cache.Grow.
+func TestDetachRestoresSingleEngine(t *testing.T) {
+	rng := xhash.NewRNG(5)
+	bases := make([][]uint64, 3)
+	for i := range bases {
+		bases[i] = make([]uint64, 40)
+		for j := range bases[i] {
+			bases[i][j] = rng.Uint64()
+		}
+	}
+	plain := core.NewStream(jaccardRule(), core.SequenceConfig{Seed: 3})
+	st := core.NewStream(jaccardRule(), core.SequenceConfig{Seed: 3})
+	if _, err := shard.Attach(st, 2); err != nil {
+		t.Fatal(err)
+	}
+	addEntities(rng, []int{9, 6, 3}, bases, plain, st)
+	if _, err := st.TopK(2); err != nil {
+		t.Fatal(err)
+	}
+	st.SetRounder(nil)
+	got, err := st.TopK(2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.SetOptions(shard.Options{Shards: 3}); err == nil {
-		t.Error("SetOptions with differing shard count succeeded")
+	want, err := plain.TopK(2)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := eng.SetOptions(shard.Options{Shards: 2, K: 5}); err != nil {
-		t.Errorf("SetOptions: %v", err)
+	if !reflect.DeepEqual(got.Clusters, want.Clusters) {
+		t.Errorf("detached stream clusters differ from the plain stream's")
+	}
+	if st.Cache() == nil {
+		t.Error("detached stream keeps no signature cache after a TopK")
+	}
+	rec := record.Record{Fields: []record.Field{perturbed(rng, bases[0])}}
+	if _, err := st.Query(&rec, 1); err != nil {
+		t.Errorf("detached stream Query: %v", err)
 	}
 }
