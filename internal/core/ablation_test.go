@@ -108,7 +108,8 @@ func TestNoSkipAllPairs(t *testing.T) {
 	for i := range recs {
 		recs[i] = int32(i)
 	}
-	_, pairs := core.ApplyPairwiseNoSkip(ds, jaccardRule(), recs)
+	_, st := core.ApplyPairwiseOpt(ds, jaccardRule(), recs, core.PairwiseOptions{NoSkip: true})
+	pairs := st.PairsComputed
 	n := int64(ds.Len())
 	if pairs != n*(n-1)/2 {
 		t.Fatalf("pairs = %d, want %d", pairs, n*(n-1)/2)

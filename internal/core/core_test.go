@@ -1,6 +1,8 @@
 package core_test
 
 import (
+	"math"
+	"strings"
 	"testing"
 
 	"github.com/topk-er/adalsh/internal/core"
@@ -108,6 +110,78 @@ func TestDesignPlanErrors(t *testing.T) {
 	cos := distance.Threshold{Field: 0, Metric: distance.Cosine{}, MaxDistance: 0.1}
 	if _, err := core.DesignPlan(empty, cos, core.SequenceConfig{}); err == nil {
 		t.Error("accepted empty dataset for cosine rule")
+	}
+}
+
+// TestDesignPlanRefusesOutOfRangeConfig: each bound of
+// SequenceConfig.Validate refuses a config before any design work.
+// Without the check, Levels -1 panics in the budget slice, Levels 65,
+// an unknown Mode, a budget over 1<<16, a budget that wraps back into
+// range and an Epsilon outside (0, 1) are all designed, and a budget
+// below 1 reaches the solver.
+func TestDesignPlanRefusesOutOfRangeConfig(t *testing.T) {
+	ds := clusteredSetDataset(t, []int{4, 2}, 1)
+	cases := map[string]core.SequenceConfig{
+		"levels negative":   {Levels: -1},
+		"levels over 64":    {Levels: 65, Factor: 1},
+		"mode unknown":      {Mode: core.BudgetMode(2), Levels: 2},
+		"budget over 1<<16": {InitialBudget: 1<<16 + 1, Levels: 1},
+		"budget below 1":    {InitialBudget: -5, Levels: 1},
+		"budget overflows":  {InitialBudget: 4, Factor: 1<<62 + 1, Levels: 2},
+		"epsilon negative":  {Epsilon: -0.1, Levels: 2},
+		"epsilon one":       {Epsilon: 1, Levels: 2},
+		"epsilon NaN":       {Epsilon: math.NaN(), Levels: 2},
+	}
+	for name, cfg := range cases {
+		t.Run(name, func(t *testing.T) {
+			if err := cfg.Validate(); err == nil {
+				t.Errorf("Validate accepted %+v", cfg)
+			}
+			if b := cfg.Budgets(); b != nil {
+				t.Errorf("Budgets = %v, want nil", b)
+			}
+			_, err := core.DesignPlan(ds, jaccardRule(), cfg)
+			if err == nil || !strings.Contains(err.Error(), "sequence config") {
+				t.Errorf("DesignPlan = %v, want a sequence config error", err)
+			}
+		})
+	}
+	// The bounds themselves are in range.
+	for _, cfg := range []core.SequenceConfig{
+		{InitialBudget: 1 << 16, Levels: 1},
+		{InitialBudget: 1, Levels: 64, Factor: 1},
+		{InitialBudget: 1 << 8, Factor: 1 << 8, Levels: 2},
+		{InitialBudget: 1 << 15, Mode: core.Linear, Levels: 2},
+		{Epsilon: 0.999},
+	} {
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("Validate refused %+v: %v", cfg, err)
+		}
+	}
+}
+
+// TestDesignPlanRefusesRulesItCannotBuild: a rule whose hasher cannot
+// be built, or whose AND is wider than the N-way objective takes, is an
+// error; both used to panic inside DesignPlan.
+func TestDesignPlanRefusesRulesItCannotBuild(t *testing.T) {
+	vecs := &record.Dataset{Name: "vectors"}
+	for i := 0; i < 6; i++ {
+		vecs.Add(i%2, record.Vector{float64(i % 2), 1})
+	}
+	zeroScale := distance.Threshold{Field: 0, Metric: distance.Euclidean{}, MaxDistance: 0.3}
+	if _, err := core.DesignPlan(vecs, zeroScale, core.SequenceConfig{Levels: 2}); err == nil ||
+		!strings.Contains(err.Error(), "pstable") {
+		t.Errorf("euclidean scale 0: DesignPlan = %v, want a pstable build error", err)
+	}
+
+	sets := clusteredSetDataset(t, []int{4, 2}, 1)
+	wide := make(distance.And, 11)
+	for i := range wide {
+		wide[i] = distance.Threshold{Field: 0, Metric: distance.Jaccard{}, MaxDistance: 0.5}
+	}
+	if _, err := core.DesignPlan(sets, wide, core.SequenceConfig{Levels: 2}); err == nil ||
+		!strings.Contains(err.Error(), "at most 10 fields") {
+		t.Errorf("11-leaf AND: DesignPlan = %v, want a field-count error", err)
 	}
 }
 
@@ -266,18 +340,6 @@ func TestApplyPairwiseComputesComponents(t *testing.T) {
 	// aren't joined when visited), but total is at most 6.
 	if pairs > 6 {
 		t.Fatalf("pairs computed = %d > 6", pairs)
-	}
-}
-
-func TestPairsBetween(t *testing.T) {
-	ds := &record.Dataset{}
-	ds.Add(0, record.NewSet([]uint64{1, 2}))
-	ds.Add(0, record.NewSet([]uint64{1, 2, 3}))
-	ds.Add(1, record.NewSet([]uint64{9}))
-	rule := distance.Threshold{Field: 0, Metric: distance.Jaccard{}, MaxDistance: 0.5}
-	matches, pairs := core.PairsBetween(ds, rule, []int32{0}, []int32{1, 2})
-	if pairs != 2 || len(matches) != 1 || matches[0] != [2]int32{0, 1} {
-		t.Fatalf("matches = %v, pairs = %d", matches, pairs)
 	}
 }
 

@@ -79,20 +79,62 @@ func (c SequenceConfig) withDefaults() SequenceConfig {
 	return c
 }
 
-// Budgets returns the per-level hash budgets b_1..b_L.
+// Sequence bounds Validate enforces. Each level's solver scans every w
+// up to its budget, and each hasher pre-generates the longest prefix
+// any level uses, so a config from outside (a snapshot) must not name
+// an unbounded sequence. The largest budget any caller uses is 5120
+// (LSH5120 and the linear figure modes).
+const (
+	maxLevels      = 64
+	maxLevelBudget = 1 << 16
+)
+
+// Validate checks the defaulted config: Levels in [1, 64], a known
+// Mode, Epsilon in (0, 1), and every level budget in [1, 1<<16]. Its
+// cost is O(Levels); DesignPlan and RestoreStream apply it.
+func (c SequenceConfig) Validate() error {
+	_, err := c.budgets()
+	return err
+}
+
+// Budgets returns the per-level hash budgets b_1..b_L, or nil for a
+// config Validate refuses.
 func (c SequenceConfig) Budgets() []int {
+	out, _ := c.budgets()
+	return out
+}
+
+// budgets validates the defaulted config and computes b_1..b_L, each
+// step checked before it is taken so that no budget can overflow.
+func (c SequenceConfig) budgets() ([]int, error) {
 	c = c.withDefaults()
-	out := make([]int, c.Levels)
+	if c.Levels < 1 || c.Levels > maxLevels {
+		return nil, fmt.Errorf("core: sequence config: Levels %d outside [1, %d]", c.Levels, maxLevels)
+	}
+	if c.Mode != Exponential && c.Mode != Linear {
+		return nil, fmt.Errorf("core: sequence config: unknown Mode %v", c.Mode)
+	}
+	if !(c.Epsilon > 0 && c.Epsilon < 1) {
+		return nil, fmt.Errorf("core: sequence config: Epsilon %g outside (0, 1)", c.Epsilon)
+	}
 	b := c.InitialBudget
-	for i := range out {
-		if c.Mode == Linear {
-			b = c.InitialBudget + i*c.Step
-		} else if i > 0 {
+	if b < 1 || b > maxLevelBudget {
+		return nil, fmt.Errorf("core: sequence config: H_1 budget %d outside [1, %d]", b, maxLevelBudget)
+	}
+	out := make([]int, c.Levels)
+	out[0] = b
+	for i := 1; i < c.Levels; i++ {
+		switch {
+		case c.Mode == Linear && c.Step >= 1-b && c.Step <= maxLevelBudget-b:
+			b += c.Step
+		case c.Mode == Exponential && c.Factor >= 1 && b <= maxLevelBudget/c.Factor:
 			b *= c.Factor
+		default:
+			return nil, fmt.Errorf("core: sequence config: H_%d budget outside [1, %d]", i+1, maxLevelBudget)
 		}
 		out[i] = b
 	}
-	return out
+	return out, nil
 }
 
 // leafSpec is one hashing channel extracted from a rule: its base
@@ -103,16 +145,6 @@ type leafSpec struct {
 	p    func(float64) float64
 	dthr float64
 	desc func(maxFuncs int, seed uint64) lshfamily.Desc
-}
-
-// build constructs the hasher for the leaf.
-func (l leafSpec) build(maxFuncs int, seed uint64) lshfamily.Hasher {
-	h, err := l.desc(maxFuncs, seed).Build()
-	if err != nil {
-		// Descs produced by analyzeLeaf are always buildable.
-		panic(err)
-	}
-	return h
 }
 
 // analyzeLeaf converts a Threshold or WeightedAverage rule into a
@@ -231,10 +263,15 @@ func analyzeLeaves(ds *record.Dataset, subs []distance.Rule) ([]leafSpec, error)
 //
 // Supported rule shapes: a single Threshold, a WeightedAverage, or a
 // flat And/Or over two or more leaves, where leaves are Thresholds or
-// WeightedAverages. Two-leaf compounds use the exact Programs 4-6 and
-// 7-10 of Appendix C; wider compounds use the N-way generalizations of
-// Appendix C.4 (hill-climbing for AND, budget DP for OR). A dataset
-// whose records do not fit the rule (distance.CheckFields) is refused.
+// WeightedAverages. Every shape runs the same loop: per level budget
+// the shape's solver picks a scheme, laid out as table groups, and the
+// hashers are built once from the longest prefix any level uses. One
+// leaf uses Programs 1-3; two-leaf compounds use the exact Programs 4-6
+// and 7-10 of Appendix C; wider compounds use the N-way generalizations
+// of Appendix C.4 (hill-climbing for AND, budget DP for OR). A dataset
+// whose records do not fit the rule (distance.CheckFields), a config
+// that fails SequenceConfig.Validate, and a hasher that cannot be built
+// are refused with an error.
 func DesignPlan(ds *record.Dataset, rule distance.Rule, cfg SequenceConfig) (*Plan, error) {
 	if ds.Len() > 0 {
 		if err := distance.CheckFields(rule, ds.Records[0].Fields); err != nil {
@@ -242,58 +279,35 @@ func DesignPlan(ds *record.Dataset, rule distance.Rule, cfg SequenceConfig) (*Pl
 		}
 	}
 	cfg = cfg.withDefaults()
-	budgets := cfg.Budgets()
-
-	switch r := rule.(type) {
-	case distance.Threshold, distance.WeightedAverage:
-		leaf, err := analyzeLeaf(ds, rule)
-		if err != nil {
-			return nil, err
-		}
-		return designSingle(ds, rule, leaf, budgets, cfg)
-	case distance.And:
-		leaves, err := analyzeLeaves(ds, r)
-		if err != nil {
-			return nil, fmt.Errorf("core: AND rule: %w", err)
-		}
-		if len(leaves) == 2 {
-			return designAnd(ds, rule, leaves[0], leaves[1], budgets, cfg)
-		}
-		return designAndN(ds, rule, leaves, budgets, cfg)
-	case distance.Or:
-		leaves, err := analyzeLeaves(ds, r)
-		if err != nil {
-			return nil, fmt.Errorf("core: OR rule: %w", err)
-		}
-		if len(leaves) == 2 {
-			return designOr(ds, rule, leaves[0], leaves[1], budgets, cfg)
-		}
-		return designOrN(ds, rule, leaves, budgets, cfg)
+	budgets, err := cfg.budgets()
+	if err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("core: unsupported rule type %T", rule)
-}
-
-func designSingle(ds *record.Dataset, rule distance.Rule, leaf leafSpec, budgets []int, cfg SequenceConfig) (*Plan, error) {
-	funcs := make([]*HashFunc, len(budgets))
-	minW, minZ := 0, 0
-	maxFuncs := 0
+	leaves, sh, err := ruleShape(ds, rule, cfg)
+	if err != nil {
+		return nil, err
+	}
+	plan := &Plan{Rule: rule, Funcs: make([]*HashFunc, len(budgets))}
+	maxFuncs := make([]int, len(leaves))
 	for i, b := range budgets {
-		s, err := wzopt.SolveRelaxed(wzopt.Problem{
-			P: leaf.p, DThr: leaf.dthr, Epsilon: cfg.Epsilon, Budget: b,
-			MinW: minW, MinZ: minZ, AllowRemainder: cfg.AllowRemainder,
-		})
+		label, groups, err := sh.solve(b)
 		if err != nil {
-			return nil, fmt.Errorf("core: designing H_%d: %w", i+1, err)
+			return nil, fmt.Errorf("core: designing %sH_%d: %w", sh.name, i+1, err)
 		}
-		funcs[i] = singleFieldFunc(i+1, 0, s.W, s.Z, s.WRem)
-		funcs[i].fillFuncsPerHasher(1)
-		minW, minZ = s.W, s.Z
-		if funcs[i].FuncsPerHasher[0] > maxFuncs {
-			maxFuncs = funcs[i].FuncsPerHasher[0]
+		plan.Funcs[i] = layoutFunc(i+1, len(leaves), label, groups)
+		for h, n := range plan.Funcs[i].FuncsPerHasher {
+			maxFuncs[h] = max(maxFuncs[h], n)
 		}
 	}
-	descs := []lshfamily.Desc{leaf.desc(maxFuncs, xhash.SplitMix64(cfg.Seed+0xa11a))}
-	plan := &Plan{Rule: rule, Hashers: []lshfamily.Hasher{leaf.build(maxFuncs, xhash.SplitMix64(cfg.Seed+0xa11a))}, HasherDescs: descs, Funcs: funcs}
+	for i, l := range leaves {
+		desc := l.desc(maxFuncs[i], xhash.SplitMix64(cfg.Seed+sh.seed+uint64(i)))
+		h, err := desc.Build()
+		if err != nil {
+			return nil, fmt.Errorf("core: hasher %d: %w", i, err)
+		}
+		plan.Hashers = append(plan.Hashers, h)
+		plan.HasherDescs = append(plan.HasherDescs, desc)
+	}
 	plan.Cost = Calibrate(ds, rule, plan.Hashers, cfg.Seed)
 	if err := plan.Validate(); err != nil {
 		return nil, err
@@ -301,93 +315,151 @@ func designSingle(ds *record.Dataset, rule distance.Rule, leaf leafSpec, budgets
 	return plan, nil
 }
 
-func designAnd(ds *record.Dataset, rule distance.Rule, la, lb leafSpec, budgets []int, cfg SequenceConfig) (*Plan, error) {
-	funcs := make([]*HashFunc, len(budgets))
+// levelSolver picks one level's scheme for a budget and returns its
+// label and table groups. It keeps the previous level's minima between
+// calls (Section 4.1's monotonicity), so DesignPlan calls it once per
+// level, in order.
+type levelSolver func(budget int) (label string, groups []tableGroup, err error)
+
+// designShape is what one rule shape brings to DesignPlan's loop: its
+// level solver, the base its hashers' seeds derive from (leaf i gets
+// SplitMix64(Seed+seed+i)), and the name its errors carry.
+type designShape struct {
+	name  string
+	seed  uint64
+	solve levelSolver
+}
+
+// ruleShape analyzes the rule's leaves and picks its shape's solver.
+func ruleShape(ds *record.Dataset, rule distance.Rule, cfg SequenceConfig) ([]leafSpec, designShape, error) {
+	switch r := rule.(type) {
+	case distance.Threshold, distance.WeightedAverage:
+		leaf, err := analyzeLeaf(ds, rule)
+		if err != nil {
+			return nil, designShape{}, err
+		}
+		return []leafSpec{leaf}, designShape{seed: 0xa11a, solve: singleSolver(leaf, cfg)}, nil
+	case distance.And:
+		leaves, err := analyzeLeaves(ds, r)
+		if err != nil {
+			return nil, designShape{}, fmt.Errorf("core: AND rule: %w", err)
+		}
+		if len(leaves) == 2 {
+			return leaves, designShape{name: "AND ", seed: 0xa11b, solve: andSolver(leaves[0], leaves[1], cfg)}, nil
+		}
+		return leaves, designShape{name: "AndN ", seed: 0xa21a, solve: andNSolver(leaves, cfg)}, nil
+	case distance.Or:
+		leaves, err := analyzeLeaves(ds, r)
+		if err != nil {
+			return nil, designShape{}, fmt.Errorf("core: OR rule: %w", err)
+		}
+		if len(leaves) == 2 {
+			return leaves, designShape{name: "OR ", seed: 0xa11d, solve: orSolver(leaves[0], leaves[1], cfg)}, nil
+		}
+		return leaves, designShape{name: "OrN ", seed: 0xa22a, solve: orNSolver(leaves, cfg)}, nil
+	}
+	return nil, designShape{}, fmt.Errorf("core: unsupported rule type %T", rule)
+}
+
+// singleSolver designs one leaf's levels with Programs 1-3 (Section
+// 5.1), with a remainder table when cfg.AllowRemainder.
+func singleSolver(l leafSpec, cfg SequenceConfig) levelSolver {
+	minW, minZ := 0, 0
+	return func(b int) (string, []tableGroup, error) {
+		s, err := wzopt.SolveRelaxed(wzopt.Problem{
+			P: l.p, DThr: l.dthr, Epsilon: cfg.Epsilon, Budget: b,
+			MinW: minW, MinZ: minZ, AllowRemainder: cfg.AllowRemainder,
+		})
+		if err != nil {
+			return "", nil, err
+		}
+		minW, minZ = s.W, s.Z
+		return s.String(), []tableGroup{{w: []int{s.W}, z: s.Z, rem: s.WRem}}, nil
+	}
+}
+
+// andSolver designs a two-leaf AND with Programs 4-6 (Appendix C.1).
+func andSolver(la, lb leafSpec, cfg SequenceConfig) levelSolver {
 	minW, minU, minZ := 0, 0, 0
-	maxA, maxB := 0, 0
-	for i, b := range budgets {
+	return func(b int) (string, []tableGroup, error) {
 		s, err := wzopt.SolveAndRelaxed(wzopt.AndProblem{
 			P1: la.p, P2: lb.p, DThr1: la.dthr, DThr2: lb.dthr,
 			Epsilon: cfg.Epsilon, Budget: b,
 			MinW: minW, MinU: minU, MinZ: minZ,
 		})
 		if err != nil {
-			return nil, fmt.Errorf("core: designing AND H_%d: %w", i+1, err)
+			return "", nil, err
 		}
-		funcs[i] = andFunc(i+1, 0, 1, s.W, s.U, s.Z)
-		funcs[i].fillFuncsPerHasher(2)
 		minW, minU, minZ = s.W, s.U, s.Z
-		if n := funcs[i].FuncsPerHasher[0]; n > maxA {
-			maxA = n
-		}
-		if n := funcs[i].FuncsPerHasher[1]; n > maxB {
-			maxB = n
-		}
+		return s.String(), []tableGroup{{w: []int{s.W, s.U}, z: s.Z}}, nil
 	}
-	plan := &Plan{
-		Rule: rule,
-		Hashers: []lshfamily.Hasher{
-			la.build(maxA, xhash.SplitMix64(cfg.Seed+0xa11b)),
-			lb.build(maxB, xhash.SplitMix64(cfg.Seed+0xa11c)),
-		},
-		HasherDescs: []lshfamily.Desc{
-			la.desc(maxA, xhash.SplitMix64(cfg.Seed+0xa11b)),
-			lb.desc(maxB, xhash.SplitMix64(cfg.Seed+0xa11c)),
-		},
-		Funcs: funcs,
-	}
-	plan.Cost = Calibrate(ds, rule, plan.Hashers, cfg.Seed)
-	if err := plan.Validate(); err != nil {
-		return nil, err
-	}
-	return plan, nil
 }
 
-func designOr(ds *record.Dataset, rule distance.Rule, la, lb leafSpec, budgets []int, cfg SequenceConfig) (*Plan, error) {
-	funcs := make([]*HashFunc, len(budgets))
+// orSolver designs a two-leaf OR with Programs 7-10 (Appendix C.2).
+// When no split meets both thresholds it falls back to an even split
+// with relaxed per-field solves: early functions are allowed to be
+// inaccurate.
+func orSolver(la, lb leafSpec, cfg SequenceConfig) levelSolver {
 	minW, minZ, minU, minV := 0, 0, 0, 0
-	maxA, maxB := 0, 0
-	for i, b := range budgets {
+	return func(b int) (string, []tableGroup, error) {
 		s, err := wzopt.SolveOr(wzopt.OrProblem{
 			P1: la.p, P2: lb.p, DThr1: la.dthr, DThr2: lb.dthr,
 			Epsilon: cfg.Epsilon, Budget: b,
 			MinW: minW, MinZ: minZ, MinU: minU, MinV: minV,
 		})
 		if err != nil {
-			// Fall back to an even split with relaxed per-field solves:
-			// early functions are allowed to be inaccurate.
 			s1, e1 := wzopt.SolveRelaxed(wzopt.Problem{P: la.p, DThr: la.dthr, Epsilon: cfg.Epsilon, Budget: b / 2, MinW: minW, MinZ: minZ})
 			s2, e2 := wzopt.SolveRelaxed(wzopt.Problem{P: lb.p, DThr: lb.dthr, Epsilon: cfg.Epsilon, Budget: b - b/2, MinW: minU, MinZ: minV})
 			if e1 != nil || e2 != nil {
-				return nil, fmt.Errorf("core: designing OR H_%d: %w", i+1, err)
+				return "", nil, err
 			}
 			s = wzopt.OrScheme{Field1: s1, Field2: s2, Budget: b}
 		}
-		funcs[i] = orFunc(i+1, 0, 1, s.Field1.W, s.Field1.Z, s.Field2.W, s.Field2.Z)
-		funcs[i].fillFuncsPerHasher(2)
-		minW, minZ, minU, minV = s.Field1.W, s.Field1.Z, s.Field2.W, s.Field2.Z
-		if n := funcs[i].FuncsPerHasher[0]; n > maxA {
-			maxA = n
+		f1, f2 := s.Field1, s.Field2
+		minW, minZ, minU, minV = f1.W, f1.Z, f2.W, f2.Z
+		return fmt.Sprintf("or[(w=%d,z=%d)|(u=%d,v=%d)]", f1.W, f1.Z, f2.W, f2.Z), orGroups(f1, f2), nil
+	}
+}
+
+// andNSolver designs an AND over three or more leaves (Appendix C.4).
+func andNSolver(leaves []leafSpec, cfg SequenceConfig) levelSolver {
+	fields := fieldSpecs(leaves)
+	var minW []int
+	minZ := 0
+	return func(b int) (string, []tableGroup, error) {
+		s, err := wzopt.SolveAndN(wzopt.AndNProblem{
+			Fields: fields, Epsilon: cfg.Epsilon, Budget: b, MinW: minW, MinZ: minZ,
+		})
+		if err != nil {
+			return "", nil, err
 		}
-		if n := funcs[i].FuncsPerHasher[1]; n > maxB {
-			maxB = n
+		minW, minZ = s.W, s.Z
+		return s.String(), []tableGroup{{w: s.W, z: s.Z}}, nil
+	}
+}
+
+// orNSolver designs an OR over three or more leaves (Appendix C.4).
+func orNSolver(leaves []leafSpec, cfg SequenceConfig) levelSolver {
+	fields := fieldSpecs(leaves)
+	minW, minZ := make([]int, len(leaves)), make([]int, len(leaves))
+	return func(b int) (string, []tableGroup, error) {
+		s, err := wzopt.SolveOrN(wzopt.OrNProblem{
+			Fields: fields, Epsilon: cfg.Epsilon, Budget: b, MinW: minW, MinZ: minZ,
+		})
+		if err != nil {
+			return "", nil, err
 		}
+		for i, sub := range s.Schemes {
+			minW[i], minZ[i] = sub.W, sub.Z
+		}
+		return s.String(), orGroups(s.Schemes...), nil
 	}
-	plan := &Plan{
-		Rule: rule,
-		Hashers: []lshfamily.Hasher{
-			la.build(maxA, xhash.SplitMix64(cfg.Seed+0xa11d)),
-			lb.build(maxB, xhash.SplitMix64(cfg.Seed+0xa11e)),
-		},
-		HasherDescs: []lshfamily.Desc{
-			la.desc(maxA, xhash.SplitMix64(cfg.Seed+0xa11d)),
-			lb.desc(maxB, xhash.SplitMix64(cfg.Seed+0xa11e)),
-		},
-		Funcs: funcs,
+}
+
+func fieldSpecs(leaves []leafSpec) []wzopt.FieldSpec {
+	fields := make([]wzopt.FieldSpec, len(leaves))
+	for i, l := range leaves {
+		fields[i] = wzopt.FieldSpec{P: l.p, DThr: l.dthr}
 	}
-	plan.Cost = Calibrate(ds, rule, plan.Hashers, cfg.Seed)
-	if err := plan.Validate(); err != nil {
-		return nil, err
-	}
-	return plan, nil
+	return fields
 }

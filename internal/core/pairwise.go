@@ -99,13 +99,6 @@ func ApplyPairwise(ds *record.Dataset, rule distance.Rule, recs []int32) (cluste
 	return clusters, st.PairsComputed
 }
 
-// ApplyPairwiseNoSkip is the ablated variant: every pair's distance is
-// computed even when the pair is already transitively connected.
-func ApplyPairwiseNoSkip(ds *record.Dataset, rule distance.Rule, recs []int32) (clusters [][]int32, pairsComputed int64) {
-	clusters, st := ApplyPairwiseOpt(ds, rule, recs, PairwiseOptions{NoSkip: true})
-	return clusters, st.PairsComputed
-}
-
 // ApplyPairwiseOpt is ApplyPairwise with explicit options and full
 // work accounting. The returned partition is identical for every
 // Workers value.
@@ -258,24 +251,4 @@ func pairwiseParallel(kernel distance.PreparedRule, recs []int32, forest *ppt.Fo
 	flush()
 	evalBusy = time.Duration(atomic.LoadInt64(&busyNS))
 	return pairsComputed, waves, evalWall, evalBusy
-}
-
-// PairsBetween counts and evaluates matches between two disjoint record
-// slices under the rule, returning the matching pairs. It is used by
-// the recovery process evaluation. The match kernel is prepared once
-// over both slices, so each pair costs only the threshold-aware
-// decision.
-func PairsBetween(ds *record.Dataset, rule distance.Rule, a, b []int32) (matches [][2]int32, pairsComputed int64) {
-	recs := make([]int32, 0, len(a)+len(b))
-	recs = append(append(recs, a...), b...)
-	kernel := distance.Prepare(ds, rule, recs)
-	for ai, i := range a {
-		for bj, j := range b {
-			pairsComputed++
-			if kernel.MatchIdx(ai, len(a)+bj) {
-				matches = append(matches, [2]int32{i, j})
-			}
-		}
-	}
-	return matches, pairsComputed
 }

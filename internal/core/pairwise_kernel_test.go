@@ -59,29 +59,6 @@ func TestPairwiseKernelStatsDeterministic(t *testing.T) {
 	}
 }
 
-// TestPairsBetweenKernelMatchesNaive covers the two-slice comparison
-// path used by the recovery evaluation.
-func TestPairsBetweenKernelMatchesNaive(t *testing.T) {
-	ds := clusteredSetDataset(t, []int{30, 25, 20}, 79)
-	var a, b []int32
-	for i := 0; i < ds.Len(); i++ {
-		if i%3 == 0 {
-			a = append(a, int32(i))
-		} else {
-			b = append(b, int32(i))
-		}
-	}
-	rule := jaccardRule()
-	naiveMatches, naivePairs := core.PairsBetween(ds, opaqueRule{rule}, a, b)
-	prepMatches, prepPairs := core.PairsBetween(ds, rule, a, b)
-	if !reflect.DeepEqual(prepMatches, naiveMatches) {
-		t.Fatal("prepared PairsBetween matches differ from naive")
-	}
-	if prepPairs != naivePairs {
-		t.Fatalf("PairsBetween pairsComputed %d (prepared) != %d (naive)", prepPairs, naivePairs)
-	}
-}
-
 // TestRecoverKernelMatchesNaive covers the recovery pass, which
 // prepares one kernel over the whole dataset.
 func TestRecoverKernelMatchesNaive(t *testing.T) {

@@ -11,6 +11,7 @@ import (
 	"github.com/topk-er/adalsh/internal/distance"
 	"github.com/topk-er/adalsh/internal/lshfamily"
 	"github.com/topk-er/adalsh/internal/record"
+	"github.com/topk-er/adalsh/internal/wzopt"
 )
 
 // TablePart is a run of base hash functions of one hasher that
@@ -187,69 +188,53 @@ func (p *Plan) Validate() error {
 	return nil
 }
 
-// singleFieldFunc lays out a (w, z [, wrem]) scheme over one hasher as
-// z tables of w consecutive functions plus an optional remainder table.
-func singleFieldFunc(seq, hasher, w, z, wrem int) *HashFunc {
-	hf := &HashFunc{
-		Seq:    seq,
-		Budget: w*z + wrem,
-		Label:  fmt.Sprintf("(w=%d,z=%d)", w, z),
-	}
-	if wrem > 0 {
-		hf.Label = fmt.Sprintf("(w=%d,z=%d,+%d)", w, z, wrem)
-	}
-	for t := 0; t < z; t++ {
-		hf.Tables = append(hf.Tables, Table{Parts: []TablePart{{Hasher: hasher, Start: t * w, Count: w}}})
-	}
-	if wrem > 0 {
-		hf.Tables = append(hf.Tables, Table{Parts: []TablePart{{Hasher: hasher, Start: w * z, Count: wrem}}})
-	}
-	return hf
+// tableGroup is z tables over the consecutive hashers first,
+// first+1, ...: table t concatenates w[i] functions of hasher first+i,
+// starting at t*w[i]. A rem > 0 adds one remainder table of the next
+// rem functions of hasher first (Section 5.1's extension).
+//
+// An AND scheme is one group over all hashers (Appendix C.1), an OR
+// scheme one group per hasher (Appendix C.2), a single-field scheme one
+// group plus its remainder.
+type tableGroup struct {
+	first int
+	w     []int
+	z     int
+	rem   int
 }
 
-// andFunc lays out an AND-rule (w, u, z) scheme over two hashers: z
-// tables, each concatenating w functions of hasher a and u of hasher b.
-func andFunc(seq, hasherA, hasherB, w, u, z int) *HashFunc {
-	hf := &HashFunc{
-		Seq:    seq,
-		Budget: (w + u) * z,
-		Label:  fmt.Sprintf("(w=%d,u=%d,z=%d)", w, u, z),
+// orGroups lays out an OR scheme: hasher i's z_i tables of w_i
+// functions each.
+func orGroups(schemes ...wzopt.Scheme) []tableGroup {
+	groups := make([]tableGroup, len(schemes))
+	for i, s := range schemes {
+		groups[i] = tableGroup{first: i, w: []int{s.W}, z: s.Z}
 	}
-	for t := 0; t < z; t++ {
-		hf.Tables = append(hf.Tables, Table{Parts: []TablePart{
-			{Hasher: hasherA, Start: t * w, Count: w},
-			{Hasher: hasherB, Start: t * u, Count: u},
-		}})
-	}
-	return hf
+	return groups
 }
 
-// orFunc lays out an OR-rule scheme: z tables of w functions on hasher
-// a plus v tables of u functions on hasher b (Appendix C.2).
-func orFunc(seq, hasherA, hasherB, w, z, u, v int) *HashFunc {
-	hf := &HashFunc{
-		Seq:    seq,
-		Budget: w*z + u*v,
-		Label:  fmt.Sprintf("or[(w=%d,z=%d)|(u=%d,v=%d)]", w, z, u, v),
-	}
-	for t := 0; t < z; t++ {
-		hf.Tables = append(hf.Tables, Table{Parts: []TablePart{{Hasher: hasherA, Start: t * w, Count: w}}})
-	}
-	for t := 0; t < v; t++ {
-		hf.Tables = append(hf.Tables, Table{Parts: []TablePart{{Hasher: hasherB, Start: t * u, Count: u}}})
-	}
-	return hf
-}
-
-// fillFuncsPerHasher computes the per-hasher prefix lengths from the
-// table layout.
-func (hf *HashFunc) fillFuncsPerHasher(numHashers int) {
-	hf.FuncsPerHasher = make([]int, numHashers)
-	for _, t := range hf.Tables {
-		for _, p := range t.Parts {
-			if end := p.Start + p.Count; end > hf.FuncsPerHasher[p.Hasher] {
-				hf.FuncsPerHasher[p.Hasher] = end
+// layoutFunc lays out H_seq's table groups over numHashers hashers and
+// derives the scheme's budget and per-hasher prefix lengths from the
+// tables.
+func layoutFunc(seq, numHashers int, label string, groups []tableGroup) *HashFunc {
+	hf := &HashFunc{Seq: seq, Label: label, FuncsPerHasher: make([]int, numHashers)}
+	for _, g := range groups {
+		for t := 0; t < g.z; t++ {
+			parts := make([]TablePart, len(g.w))
+			for i, w := range g.w {
+				parts[i] = TablePart{Hasher: g.first + i, Start: t * w, Count: w}
 			}
+			hf.Tables = append(hf.Tables, Table{Parts: parts})
+		}
+		if g.rem > 0 {
+			hf.Tables = append(hf.Tables, Table{Parts: []TablePart{{Hasher: g.first, Start: g.z * g.w[0], Count: g.rem}}})
 		}
 	}
+	for _, t := range hf.Tables {
+		for _, p := range t.Parts {
+			hf.Budget += p.Count
+			hf.FuncsPerHasher[p.Hasher] = max(hf.FuncsPerHasher[p.Hasher], p.Start+p.Count)
+		}
+	}
+	return hf
 }

@@ -1,10 +1,8 @@
 package core
 
 import (
-	"sort"
 	"time"
 
-	"github.com/topk-er/adalsh/internal/ppt"
 	"github.com/topk-er/adalsh/internal/record"
 )
 
@@ -52,37 +50,9 @@ func ApplyHashExport(ds *record.Dataset, p *Plan, hf *HashFunc, cache *Cache, re
 	start := time.Now()
 	exp := bucketExport{reps: reps}
 	forest := insertRound(ds, p, hf, cache, recs, HashOptions{Pool: pool}, &exp, st)
-	out := collectClusterIdx(forest, len(recs))
+	out := CollectClusters(forest, nil)
 	if st != nil {
 		st.Work += time.Since(start)
 	}
 	return out, exp.reps, BucketTables{tables: exp.tables}
-}
-
-// collectClusterIdx is CollectClusters emitting local indices instead
-// of dataset record IDs: one ascending slice of indices into the recs
-// argument per tree, largest cluster first, ties on first index. When
-// recs is ascending (every engine call site), mapping the indices
-// through recs yields exactly CollectClusters' output.
-func collectClusterIdx(forest *ppt.Forest, n int) [][]int32 {
-	roots := forest.Roots()
-	out := make([][]int32, 0, len(roots))
-	flat := make([]int32, n)
-	used := 0
-	var leaves []int32
-	for _, r := range roots {
-		leaves = forest.Leaves(leaves[:0], r)
-		cluster := flat[used : used+len(leaves) : used+len(leaves)]
-		used += len(leaves)
-		copy(cluster, leaves)
-		sort.Slice(cluster, func(i, j int) bool { return cluster[i] < cluster[j] })
-		out = append(out, cluster)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if len(out[i]) != len(out[j]) {
-			return len(out[i]) > len(out[j])
-		}
-		return out[i][0] < out[j][0]
-	})
-	return out
 }

@@ -182,6 +182,11 @@ func (s *Stream) State() *StreamState {
 // the uninterrupted original. Runtime knobs (SetWorkers, SetObs,
 // SetHashMinParallel) default to zero values; re-set them after
 // restoring.
+//
+// A state is refused when it could not run: no rule or dataset, a
+// dataset of mixed layouts, a sequence config that fails
+// SequenceConfig.Validate (a later re-plan would design from it), or a
+// plan or cache that does not fit the dataset.
 func RestoreStream(st *StreamState) (*Stream, error) {
 	if st == nil {
 		return nil, fmt.Errorf("core: restore from nil stream state")
@@ -197,6 +202,9 @@ func RestoreStream(st *StreamState) (*Stream, error) {
 	}
 	if st.QueryK < 0 || st.QueryKhat < 0 {
 		return nil, fmt.Errorf("core: stream state query k/k-hat %d/%d negative", st.QueryK, st.QueryKhat)
+	}
+	if err := st.Config.Validate(); err != nil {
+		return nil, fmt.Errorf("core: stream state config: %w", err)
 	}
 	s := &Stream{
 		rule: st.Rule, cfg: st.Config, ds: st.Dataset, pool: NewHashPool(),

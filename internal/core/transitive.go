@@ -482,22 +482,27 @@ func bucketKey(seed uint64, parts []TablePart, vals [][]uint64) uint64 {
 // CollectClusters converts a forest over indices into recs back to
 // dataset record IDs, one ascending cluster per tree, deterministically
 // ordered (largest first, ties on first record) — the canonical order
-// every engine emits, whatever order its merges ran in. All clusters
-// of one invocation share a single flat backing array — one allocation
-// instead of one per cluster — sliced with full expressions so they
-// stay disjoint.
+// every engine emits, whatever order its merges ran in. A nil recs
+// keeps the leaf indices, as the sharded export wants them. All
+// clusters of one invocation share a single flat backing array — one
+// allocation instead of one per cluster — sliced with full expressions
+// so they stay disjoint.
 func CollectClusters(forest *ppt.Forest, recs []int32) [][]int32 {
 	roots := forest.Roots()
 	out := make([][]int32, 0, len(roots))
-	flat := make([]int32, len(recs))
+	flat := make([]int32, forest.NumLeaves())
 	used := 0
 	var leaves []int32
 	for _, r := range roots {
 		leaves = forest.Leaves(leaves[:0], r)
 		cluster := flat[used : used+len(leaves) : used+len(leaves)]
 		used += len(leaves)
-		for i, l := range leaves {
-			cluster[i] = recs[l]
+		if recs == nil {
+			copy(cluster, leaves)
+		} else {
+			for i, l := range leaves {
+				cluster[i] = recs[l]
+			}
 		}
 		sort.Slice(cluster, func(i, j int) bool { return cluster[i] < cluster[j] })
 		out = append(out, cluster)

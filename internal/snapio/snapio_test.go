@@ -399,3 +399,27 @@ func TestRestoreRejectsMismatchedWidths(t *testing.T) {
 		}
 	}
 }
+
+// TestRestoreRejectsOutOfRangeConfig: a snapshot whose sequence config
+// fails SequenceConfig.Validate is refused at load, before its first
+// TopK can design from it (Levels -1 panicked there; the others would
+// design an unbounded or meaningless sequence).
+func TestRestoreRejectsOutOfRangeConfig(t *testing.T) {
+	ds := &record.Dataset{Name: "cfg"}
+	ds.Add(0, record.NewSet([]uint64{1, 2, 3}))
+	ds.Add(0, record.NewSet([]uint64{1, 2, 4}))
+	for name, cfg := range map[string]core.SequenceConfig{
+		"levels negative":   {Levels: -1},
+		"budget over 1<<16": {InitialBudget: 1 << 20, Levels: 1},
+		"epsilon one":       {Epsilon: 1},
+	} {
+		var buf bytes.Buffer
+		if err := snapio.WriteState(&buf, &core.StreamState{Rule: jacRule(), Config: cfg, Dataset: ds}); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		_, err := snapio.Restore(bytes.NewReader(buf.Bytes()))
+		if err == nil || !strings.Contains(err.Error(), "sequence config") {
+			t.Errorf("%s: Restore = %v, want a sequence config error", name, err)
+		}
+	}
+}

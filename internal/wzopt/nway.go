@@ -49,20 +49,20 @@ func (s AndNScheme) Prob(ps []float64) float64 {
 	return 1 - math.Pow(1-prod, float64(s.Z))
 }
 
+// haltonPrimes are the coprime bases of the Halton objective, one per
+// field: SolveAndN takes at most this many fields.
+var haltonPrimes = []int{2, 3, 5, 7, 11, 13, 17, 19, 23, 29}
+
 // haltonPoints generates deterministic low-discrepancy sample points in
-// [0,1]^dim for the Monte Carlo objective (van der Corput sequences in
-// coprime bases).
+// [0,1]^dim (dim <= len(haltonPrimes)) for the Monte Carlo objective
+// (van der Corput sequences in coprime bases).
 func haltonPoints(n, dim int) [][]float64 {
-	primes := []int{2, 3, 5, 7, 11, 13, 17, 19, 23, 29}
-	if dim > len(primes) {
-		panic("wzopt: too many fields for the Halton objective")
-	}
 	pts := make([][]float64, n)
 	flat := make([]float64, n*dim)
 	for i := range pts {
 		pts[i], flat = flat[:dim], flat[dim:]
 		for d := 0; d < dim; d++ {
-			base := primes[d]
+			base := haltonPrimes[d]
 			f := 1.0
 			x := 0.0
 			idx := i + 1
@@ -101,6 +101,9 @@ func SolveAndN(pr AndNProblem) (AndNScheme, error) {
 	n := len(pr.Fields)
 	if n < 2 {
 		return AndNScheme{}, fmt.Errorf("wzopt: AndN needs >= 2 fields, got %d", n)
+	}
+	if n > len(haltonPrimes) {
+		return AndNScheme{}, fmt.Errorf("wzopt: AndN takes at most %d fields, got %d", len(haltonPrimes), n)
 	}
 	if pr.Budget < n {
 		return AndNScheme{}, fmt.Errorf("wzopt: AndN budget %d < fields %d", pr.Budget, n)
